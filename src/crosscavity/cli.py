@@ -19,13 +19,7 @@ import numpy as np
 
 from . import io as specio
 from .detect import NoSignalError, detect
-from .distribution import (
-    GridSpec,
-    WORKERS_ENV,
-    populations,
-    total_probability,
-    w_grid,
-)
+from .distribution import GridSpec, populations, total_probability, w_grid
 from .kernel import UnsupportedProfileError
 from .quadrature import AccuracyError, QuadratureSpec
 from .rotation import d_matrix
@@ -36,6 +30,8 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_ACCURACY = 3
 EXIT_PHYSICS = 4
+
+WORKERS_ENV = "CROSSCAVITY_WORKERS"
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -56,6 +52,25 @@ def _parse_grid(text: str) -> GridSpec:
         raise specio.StateSpecError(f"bad --grid value: {exc}") from None
 
 
+def _check_workers(flag) -> None:
+    """Validate ``--workers``, else ``CROSSCAVITY_WORKERS``.
+
+    Both are kept for compatibility only: the assembly is single-threaded, so
+    a valid count changes nothing.
+    """
+    source, text = "--workers", flag
+    if flag is None:
+        source, text = WORKERS_ENV, os.environ.get(WORKERS_ENV)
+    if not text:
+        return
+    try:
+        valid = int(text) >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise specio.StateSpecError(f"{source} must be a positive integer, got {text!r}")
+
+
 def _load_spec(path: str) -> specio.ParsedSpec:
     try:
         text = Path(path).read_text()
@@ -71,6 +86,7 @@ def _out_dir(path: str) -> Path:
 
 
 def _cmd_simulate(args) -> int:
+    _check_workers(args.workers)
     spec = _load_spec(args.state)
     grid_spec = _parse_grid(args.grid)
     quad = QuadratureSpec() if args.kernel == "numeric" else None
@@ -81,8 +97,9 @@ def _cmd_simulate(args) -> int:
         grid=grid_spec,
         kernel=args.kernel,
         quad=quad,
-        workers=args.workers,
     )
+    if not np.isfinite(grid.densities).all():
+        raise AccuracyError("density grid holds NaN or Inf; nothing written")
     out = _out_dir(args.out)
     specio.grid_to_csv(grid, out / "momentum_grid.csv")
     specio.grid_meta_to_json(
@@ -224,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="crosscavity",
         description="2D optical Stern-Gerlach deflection simulator for crossed-cavity Fock states",
     )
-    default_workers = os.environ.get(WORKERS_ENV)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, state=True):
@@ -236,7 +252,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--kernel", choices=("analytic", "numeric"), default="analytic")
     p.add_argument("--grid", default="", help="grid spec, e.g. r:400,phi:720,pmax:130")
-    p.add_argument("--workers", type=int, default=int(default_workers) if default_workers else None)
+    p.add_argument(
+        "--workers",
+        help=f"positive integer, overrides {WORKERS_ENV}; kept for compatibility, no effect",
+    )
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("detect", help="run both entanglement criteria")

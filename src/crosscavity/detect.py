@@ -55,8 +55,7 @@ def _ring_argmax(
 ) -> Tuple[float, float]:
     """(folded, raw) angular argmax of W on the given ring radius."""
     channels = channel_tables(state, atom)
-    phi = np.arange(phi_points) * (_TWO_PI / phi_points)
-    dens = _density_table(channels, np.array([ring]), phi, params)[0]
+    dens = _density_table(channels, np.array([ring]), phi_points, params)[0]
     if float(dens.max()) < 1e-12:
         raise NoSignalError(f"density below 1e-12 everywhere on ring p = {ring:g}")
     j = int(np.argmax(dens))
@@ -64,7 +63,7 @@ def _ring_argmax(
     denom = y1 - 2.0 * y2 + y3
     offset = 0.0 if denom == 0.0 else 0.5 * (y1 - y3) / denom
     step = _TWO_PI / phi_points
-    raw = (phi[j] + offset * step) % _TWO_PI
+    raw = (j * step + offset * step) % _TWO_PI
     # the one-photon pattern repeats under rotation by pi and reflects about
     # its own axes; fold the argmax into [0, pi/2] where the concurrence map
     # is single-valued

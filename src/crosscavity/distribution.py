@@ -15,6 +15,18 @@ choice, rather than one coherent sum over N, is what makes the density
 integrate to exactly 1 and the exact ring weights close to 1; it only
 matters for states spreading over several photon blocks.)
 
+Each channel amplitude is an angular Fourier series ``sum_w a_w(p) e^{i w
+phi}`` (harmonic table times radial factor), so the density is one too:
+
+    W(p, phi) = Re sum_Delta B_Delta(p) e^{i Delta phi},
+    B_Delta = sum_ch weight sum_{w_l - w_k = Delta} a_l conj(a_k),
+
+the weighted harmonic autocorrelation of the channels.  On the uniform angle
+grid ``2 pi j / A`` the series is one inverse FFT over ``j`` with
+``B_Delta`` placed at index ``Delta mod A``; since ``e^{i Delta phi_j}``
+depends only on that residue, aliased harmonics are summed exactly rather
+than dropped.
+
 Ring populations come in three estimators:
 
 ``exact``
@@ -36,7 +48,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -56,15 +67,6 @@ from .states import AtomState, CouplingParams, TwoModeState
 
 _TWO_PI = 2.0 * math.pi
 
-WORKERS_ENV = "CROSSCAVITY_WORKERS"
-
-
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    return max(1, int(env)) if env else 1
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -77,6 +79,8 @@ class GridSpec:
     def __post_init__(self):
         if self.radial_points < 2 or self.angular_points < 4:
             raise ValueError("grid too small")
+        if self.p_max is not None and not (math.isfinite(self.p_max) and self.p_max > 0.0):
+            raise ValueError(f"p_max must be positive and finite, got {self.p_max!r}")
 
 
 @dataclass
@@ -165,26 +169,41 @@ def channel_tables(state: TwoModeState, atom: AtomState) -> List[_Channel]:
     return channels
 
 
-def _density_table(
-    channels: Sequence[_Channel],
-    p: np.ndarray,
-    phi: np.ndarray,
-    params: CouplingParams,
-) -> np.ndarray:
-    """W sampled on the outer product of radii p and angles phi."""
+def _autocorrelation(
+    channels: Sequence[_Channel], p: np.ndarray, params: CouplingParams
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Angular Fourier coefficients ``B_Delta(p)`` of W (see module docstring).
+
+    Returns ``(deltas, table)``: the harmonic differences ``-2M..2M`` for the
+    largest harmonic ``M`` of any channel, and ``table[k, i] = B_{deltas[k]}(p[i])``.
+    """
     p = np.asarray(p, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    dens = np.zeros((p.size, phi.size))
+    top = max((int(np.abs(ch.w_values).max()) for ch in channels if ch.w_values.size), default=0)
+    table = np.zeros((4 * top + 1, p.size), dtype=complex)
     for ch in channels:
         if ch.w_values.size == 0:
             continue
         g = gamma(ch.n, params, ch.branch)
-        radial = mode_radial_table(np.abs(ch.w_values), p, g, params.k_delta_r)
-        amp = np.zeros((p.size, phi.size), dtype=complex)
+        amp = ch.chi[:, None] * mode_radial_table(np.abs(ch.w_values), p, g, params.k_delta_r)
+        conj = ch.weight * amp.conj()
         for k, w in enumerate(ch.w_values):
-            amp += (ch.chi[k] * radial[k])[:, None] * np.exp(1j * w * phi)[None, :]
-        dens += ch.weight * (amp.real**2 + amp.imag**2)
-    return dens
+            # distinct w_values make these row indices distinct, so += does not drop terms
+            table[w - ch.w_values + 2 * top] += amp[k] * conj
+    return np.arange(-2 * top, 2 * top + 1), table
+
+
+def _density_table(
+    channels: Sequence[_Channel],
+    p: np.ndarray,
+    angular_points: int,
+    params: CouplingParams,
+) -> np.ndarray:
+    """W sampled on radii p times the uniform angles ``2 pi j / angular_points``."""
+    deltas, table = _autocorrelation(channels, p, params)
+    coeffs = np.zeros((table.shape[1], angular_points), dtype=complex)
+    for delta, row in zip(deltas, table):
+        coeffs[:, delta % angular_points] += row
+    return np.fft.ifft(coeffs, axis=1, norm="forward").real
 
 
 def w_point(
@@ -195,9 +214,8 @@ def w_point(
 ) -> float:
     """Momentum density at a single point (closed-form kernels)."""
     channels = channel_tables(state, atom)
-    return float(
-        _density_table(channels, np.array([point.p_mag]), np.array([point.p_ang]), params)[0, 0]
-    )
+    deltas, table = _autocorrelation(channels, np.array([point.p_mag]), params)
+    return float((table[:, 0] @ np.exp(1j * deltas * point.p_ang)).real)
 
 
 def w_grid(
@@ -215,6 +233,8 @@ def w_grid(
     ``kernel="analytic"`` uses the closed form (exponential profile only);
     ``kernel="numeric"`` routes every point through the quadrature oracle,
     which accepts arbitrary profiles but is orders of magnitude slower.
+    ``workers`` is accepted for compatibility and changes nothing: the
+    assembly is one inverse FFT and runs in the calling thread.
     """
     grid = grid or GridSpec()
     p_max = grid.p_max if grid.p_max is not None else default_p_max(state, params)
@@ -233,20 +253,7 @@ def w_grid(
 
     if kernel == "analytic":
         _check_profile(profile, params)
-        channels = channel_tables(state, atom)
-        n_workers = _resolve_workers(workers)
-        if n_workers <= 1:
-            dens = _density_table(channels, p, phi, params)
-        else:
-            from concurrent.futures import ThreadPoolExecutor
-
-            slabs = np.array_split(np.arange(p.size), n_workers)
-            slabs = [s for s in slabs if s.size]
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                parts = list(
-                    pool.map(lambda s: _density_table(channels, p[s], phi, params), slabs)
-                )
-            dens = np.vstack(parts)
+        dens = _density_table(channel_tables(state, atom), p, grid.angular_points, params)
     elif kernel == "numeric":
         oracle = QuadratureOracle(params, profile, quad)
         dens = np.empty((p.size, phi.size))
@@ -367,9 +374,8 @@ def _populations_ringline(
     if n_max < 1:
         raise ValueError("no deflected rings for this state/atom combination")
     channels = channel_tables(state, atom)
-    phi = np.arange(phi_points) * (_TWO_PI / phi_points)
     radii = np.array([params.lam * math.sqrt(n) for n in range(1, n_max + 1)])
-    dens = _density_table(channels, radii, phi, params)
+    dens = _density_table(channels, radii, phi_points, params)
     raw = radii * dens.mean(axis=1) * _TWO_PI
     total = float(raw.sum())
     warnings = []
@@ -401,13 +407,12 @@ def _populations_window(
 ) -> PopulationSpectrum:
     n_max = _n_max(state, atom)
     channels = channel_tables(state, atom)
-    phi = np.arange(phi_points) * (_TWO_PI / phi_points)
     entries = []
     ns = ([0] if abs(atom.c_g) > 0 else []) + list(range(1, n_max + 1))
     for n in ns:
         lo, hi = _band_edges(n, params)
         p_band = np.linspace(lo, hi, band_points)
-        dens = _density_table(channels, p_band, phi, params)
+        dens = _density_table(channels, p_band, phi_points, params)
         angular = dens.mean(axis=1) * _TWO_PI
         mass = float(np.trapezoid(angular * p_band, p_band))
         entries.append(SpectrumEntry(n, mass, "window"))

@@ -223,14 +223,18 @@ def round12(value):
 
 
 def grid_to_csv(grid: MomentumGrid, path) -> None:
-    """Row-major (radial outer, angular inner) dump: p_mag,p_ang,density."""
+    """Row-major (radial outer, angular inner) dump: p_mag,p_ang,density.
+
+    The angle labels are formatted once into a per-grid template of one
+    radius row; each row fills in its radius label and its densities (``%.12g``
+    formats exactly as :func:`fmt12`) and is written on its own, so the whole
+    text is never held in memory.
+    """
+    template = "".join(f"\0,{fmt12(ang)},%.12g\n" for ang in grid.angular_values)
     with open(path, "w", newline="") as fh:
         fh.write("p_mag,p_ang,density\n")
-        for i, p in enumerate(grid.radial_values):
-            row = grid.densities[i]
-            p_txt = fmt12(p)
-            for j, ang in enumerate(grid.angular_values):
-                fh.write(f"{p_txt},{fmt12(ang)},{fmt12(row[j])}\n")
+        for p, row in zip(grid.radial_values, grid.densities):
+            fh.write(template.replace("\0", fmt12(p)) % tuple(row.tolist()))
 
 
 def grid_meta_to_json(grid: MomentumGrid, path, extra: Optional[dict] = None) -> None:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple
@@ -166,7 +165,6 @@ def s_factor(idx: KernelIndices, s: int, t: int, p_mag: float, params: CouplingP
 
 
 _HARMONIC_CACHE: Dict[Tuple[int, int, int, str], Tuple[np.ndarray, np.ndarray]] = {}
-_HARMONIC_LOCK = threading.Lock()
 
 
 def harmonic_coefficients(idx: KernelIndices) -> Tuple[np.ndarray, np.ndarray]:
@@ -182,8 +180,7 @@ def harmonic_coefficients(idx: KernelIndices) -> Tuple[np.ndarray, np.ndarray]:
     element attached to ``idx``.
     """
     key = (idx.total, idx.m, idx.n, idx.epsilon)
-    with _HARMONIC_LOCK:
-        hit = _HARMONIC_CACHE.get(key)
+    hit = _HARMONIC_CACHE.get(key)
     if hit is not None:
         return hit
 
@@ -215,8 +212,7 @@ def harmonic_coefficients(idx: KernelIndices) -> Tuple[np.ndarray, np.ndarray]:
     result = (w_values, coeffs)
     result[0].flags.writeable = False
     result[1].flags.writeable = False
-    with _HARMONIC_LOCK:
-        _HARMONIC_CACHE.setdefault(key, result)
+    _HARMONIC_CACHE[key] = result
     return result
 
 

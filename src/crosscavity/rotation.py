@@ -15,7 +15,6 @@ the individual factorials are astronomically large.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -65,19 +64,16 @@ def _d_matrix_cached(total: int, theta: float) -> np.ndarray:
     mat.flags.writeable = False
     return mat
 
-_cache_lock = threading.Lock()
-
 
 def d_matrix(total: int, theta: float) -> np.ndarray:
     """Full (N+1)x(N+1) block-rotation matrix, rows m, columns n.
 
     Memoized on the exact (total, theta) key; the returned array is
-    read-only so cached values stay consistent across threads.
+    read-only so no caller can alter the cached value.
     """
     if total < 0:
         raise ValueError(f"block size must be non-negative, got {total}")
-    with _cache_lock:
-        return _d_matrix_cached(total, float(theta))
+    return _d_matrix_cached(total, float(theta))
 
 
 def d_matrix_table(total: int, thetas: np.ndarray) -> np.ndarray:

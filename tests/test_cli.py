@@ -1,11 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from crosscavity import parse_state_spec, serialize_state_spec
+from crosscavity import MomentumGrid, parse_state_spec, serialize_state_spec
 from crosscavity.cli import main
-from crosscavity.io import StateSpecError
+from crosscavity.io import StateSpecError, fmt12, grid_to_csv
 
 NOON2 = {
     "builder": {"name": "noon", "args": [2]},
@@ -269,3 +270,60 @@ def test_cli_parse_error_exit_code(tmp_path):
 
 def test_cli_validate_small():
     assert run_cli(["validate"]) == 0
+
+
+def test_cli_worker_count_validation(tmp_path, monkeypatch):
+    spec = write_spec(tmp_path, NOON2)
+    grid = ["--grid", "r:20,phi:8"]
+    for count in ("0", "-3", "two"):
+        out = tmp_path / f"w{count}"
+        assert run_cli(["simulate", "--state", spec, "--out", out, "--workers", count, *grid]) == 2
+        assert not out.exists()
+    monkeypatch.setenv("CROSSCAVITY_WORKERS", "1.5")
+    assert run_cli(["simulate", "--state", spec, "--out", tmp_path / "env", *grid]) == 2
+    assert run_cli(["simulate", "--state", spec, "--out", tmp_path / "flag", "--workers", 2, *grid]) == 0
+    # the variable only concerns simulate
+    assert run_cli(["detect", "--state", spec, "--out", tmp_path / "det"]) == 0
+
+
+def test_cli_grid_rejects_bad_p_max(tmp_path):
+    spec = write_spec(tmp_path, NOON2)
+    for p_max in ("nan", "inf", "-5", "0"):
+        out = tmp_path / f"g{p_max}"
+        assert run_cli(["simulate", "--state", spec, "--out", out, "--grid", f"r:20,phi:8,pmax:{p_max}"]) == 2
+        assert not out.exists()
+
+
+def test_cli_simulate_refuses_non_finite_density(tmp_path):
+    # lambda = 1e300 overflows the radial factors
+    spec = write_spec(tmp_path, {**NOON2, "params": {"lambda": 1e300, "k_delta_r": 0.1}})
+    out = tmp_path / "sim"
+    with np.errstate(all="ignore"):
+        code = run_cli(["simulate", "--state", spec, "--out", out, "--grid", "r:10,phi:8"])
+    assert code == 3
+    assert not out.exists()
+
+
+def grid_to_csv_reference(grid, path):
+    """Reference exporter: every number of every line formatted on its own."""
+    with open(path, "w", newline="") as fh:
+        fh.write("p_mag,p_ang,density\n")
+        for i, p in enumerate(grid.radial_values):
+            row = grid.densities[i]
+            p_txt = fmt12(p)
+            for j, ang in enumerate(grid.angular_values):
+                fh.write(f"{p_txt},{fmt12(ang)},{fmt12(row[j])}\n")
+
+
+def test_grid_to_csv_matches_per_value_formatter(tmp_path):
+    special = [-0.0, 5e-324, 1e-300, 1e17, 0.1 + 0.2]
+    radial = np.array([0.0, 0.1 + 0.2, 1e17, 5e-324])
+    angular = np.arange(5) * (2 * math.pi / 5)
+    densities = np.array([np.roll(special, k) for k in range(radial.size)])
+    densities[3] *= np.random.default_rng(4).uniform(0.5, 2.0, angular.size)
+    grid = MomentumGrid(radial, angular, densities, {})
+    grid_to_csv(grid, tmp_path / "fast.csv")
+    grid_to_csv_reference(grid, tmp_path / "ref.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert b",-0\n" in fast and b",4.94065645841e-324\n" in fast

@@ -23,7 +23,8 @@ from crosscavity import (
     w_grid,
     w_point,
 )
-from crosscavity.distribution import default_p_max
+from crosscavity.distribution import _density_table, channel_tables, default_p_max
+from crosscavity.kernel import gamma, mode_radial_table
 from crosscavity.rotation import d_matrix_table
 
 PARAMS = CouplingParams(20.0, 0.1)
@@ -222,6 +223,68 @@ def test_grid_worker_count_does_not_change_bytes():
     a = w_grid(state, EXCITED, PARAMS, spec, workers=1)
     b = w_grid(state, EXCITED, PARAMS, spec, workers=5)
     assert a.densities.tobytes() == b.densities.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# angular assembly
+# ---------------------------------------------------------------------------
+
+SUPERPOSED = AtomState.normalized(0.6, 0.8j)
+
+
+def density_table_loop(channels, p, phi, params):
+    """Reference assembly: each channel's amplitude summed harmonic by harmonic."""
+    dens = np.zeros((p.size, phi.size))
+    for ch in channels:
+        if ch.w_values.size == 0:
+            continue
+        g = gamma(ch.n, params, ch.branch)
+        radial = mode_radial_table(np.abs(ch.w_values), p, g, params.k_delta_r)
+        amp = np.zeros((p.size, phi.size), dtype=complex)
+        for k, w in enumerate(ch.w_values):
+            amp += (ch.chi[k] * radial[k])[:, None] * np.exp(1j * w * phi)[None, :]
+        dens += ch.weight * (amp.real**2 + amp.imag**2)
+    return dens
+
+
+@pytest.mark.parametrize(
+    "state", [noon_state(12), family_state(3, 2), noon_state(32)], ids=["noon12", "family32", "noon32"]
+)
+@pytest.mark.parametrize("angular_points", [4, 7, 20, 720])
+def test_density_table_matches_harmonic_loop(state, angular_points):
+    # 4, 7 and 20 angles are fewer than the 4M+1 Fourier coefficients of a
+    # top harmonic M >= 13, so several coefficients share one column
+    channels = channel_tables(state, SUPERPOSED)
+    p = np.linspace(0.0, default_p_max(state, PARAMS), 40)
+    phi = np.arange(angular_points) * (2 * math.pi / angular_points)
+    ref = density_table_loop(channels, p, phi, PARAMS)
+    got = _density_table(channels, p, angular_points, PARAMS)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * ref.max()
+
+
+def test_render_states_density_nonnegative():
+    # the states of one render round of the benchmark: superposed-atom one-
+    # and two-photon states, NOON-2/6/12 and every family member of total
+    # 4, 8 and 12, at both couplings, on the default grid
+    atom_1 = AtomState.normalized(math.cos(0.5), math.sin(0.5) * complex(math.cos(2.0), math.sin(2.0)))
+    atom_2 = AtomState.normalized(math.cos(1.1), math.sin(1.1) * complex(math.cos(5.0), math.sin(5.0)))
+    cases = [(one_photon_state(0.4), atom_1), (two_photon_state(1.2), atom_2)]
+    cases += [(noon_state(n), EXCITED) for n in (2, 6, 12)]
+    cases += [(family_state(j, q), EXCITED) for j, q in ((1, 1), (3, 1), (1, 2), (5, 1), (3, 2), (1, 3))]
+    for lam in (20.0, 100.0):
+        params = CouplingParams(lam, 0.1)
+        for state, atom in cases:
+            dens = w_grid(state, atom, params).densities
+            assert dens.min() >= 0.0, (lam, dict(state.amplitudes), dens.min())
+
+
+def test_w_point_equals_grid_node():
+    state = family_state(1, 1)
+    grid = w_grid(state, SUPERPOSED, PARAMS, GridSpec(radial_points=50, angular_points=36))
+    tol = 1e-13 * grid.densities.max()
+    for i, j in ((0, 0), (17, 5), (30, 18), (49, 35)):
+        point = MomentumPoint(grid.radial_values[i], grid.angular_values[j])
+        assert abs(w_point(state, SUPERPOSED, point, PARAMS) - grid.densities[i, j]) <= tol
 
 
 # ---------------------------------------------------------------------------
