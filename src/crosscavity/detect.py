@@ -19,6 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .distribution import PopulationSpectrum, _density_table, channel_tables, populations
+from .quadrature import AccuracyError
 from .states import AtomState, CouplingParams, TwoModeState
 
 _TWO_PI = 2.0 * math.pi
@@ -56,6 +57,8 @@ def _ring_argmax(
     """(folded, raw) angular argmax of W on the given ring radius."""
     channels = channel_tables(state, atom)
     dens = _density_table(channels, np.array([ring]), phi_points, params)[0]
+    if not np.isfinite(dens).all():
+        raise AccuracyError(f"density on ring p = {ring:g} holds NaN or Inf")
     if float(dens.max()) < 1e-12:
         raise NoSignalError(f"density below 1e-12 everywhere on ring p = {ring:g}")
     j = int(np.argmax(dens))
@@ -153,7 +156,8 @@ def detect(
 
     The rotation/concurrence readout only applies to one-photon states; for
     anything else it is skipped with a warning.  The spectrum always comes
-    from the exact estimator.
+    from the exact estimator.  A NaN or Inf density on the readout ring
+    raises ``AccuracyError``.
     """
     warnings: List[str] = []
     spectrum = populations(state, atom, params, estimator="exact")

@@ -25,13 +25,17 @@ the weighted harmonic autocorrelation of the channels.  On the uniform angle
 grid ``2 pi j / A`` the series is one inverse FFT over ``j`` with
 ``B_Delta`` placed at index ``Delta mod A``; since ``e^{i Delta phi_j}``
 depends only on that residue, aliased harmonics are summed exactly rather
-than dropped.
+than dropped.  The angular mean of W on that grid is the sum of the
+``B_Delta`` with ``Delta = 0 mod A`` (``_angular_mean``), so the ring-line
+and window estimators never build the angle table.
 
 Ring populations come in three estimators:
 
 ``exact``
     Dressed-channel weights from angle quadrature of the rotation
     coefficients; never touches the Fourier kernels, sums to 1 to rounding.
+    The uniform rule is exact only with more than ``2 N`` angles for the
+    largest block total ``N``; fewer are refused.
 ``eq8``
     Ring line integral ``lam sqrt(n) Int W(lam sqrt(n), phi) dphi``,
     renormalized across rings.  The raw line integral systematically carries
@@ -61,7 +65,7 @@ from .kernel import (
     harmonic_coefficients,
     mode_radial_table,
 )
-from .quadrature import QuadratureOracle, QuadratureSpec, SlitProfile
+from .quadrature import AccuracyError, QuadratureOracle, QuadratureSpec, SlitProfile
 from .rotation import d_matrix_table
 from .states import AtomState, CouplingParams, TwoModeState
 
@@ -206,6 +210,21 @@ def _density_table(
     return np.fft.ifft(coeffs, axis=1, norm="forward").real
 
 
+def _angular_mean(
+    channels: Sequence[_Channel],
+    p: np.ndarray,
+    angular_points: int,
+    params: CouplingParams,
+) -> np.ndarray:
+    """Mean of W over the uniform angles ``2 pi j / angular_points``, per radius.
+
+    Exactly the mean of ``_density_table`` rows: only the ``B_Delta`` with
+    ``Delta = 0 mod angular_points`` survive the average, aliases included.
+    """
+    deltas, table = _autocorrelation(channels, p, params)
+    return table[deltas % angular_points == 0].sum(axis=0).real
+
+
 def w_point(
     state: TwoModeState,
     atom: AtomState,
@@ -316,18 +335,32 @@ def populations(
     phi_points: int = 720,
     band_points: int = 320,
 ) -> PopulationSpectrum:
-    """Ring populations P_n by the chosen estimator (see module docstring)."""
+    """Ring populations P_n by the chosen estimator (see module docstring).
+
+    Raises ``AccuracyError`` when a population is NaN or Inf (for example
+    when the radial factors overflow at a huge ``lam``).
+    """
     if estimator == "exact":
-        return _populations_exact(state, atom, theta_points)
-    if estimator == "eq8":
-        return _populations_ringline(state, atom, params, phi_points)
-    if estimator == "window":
-        return _populations_window(state, atom, params, phi_points, band_points)
-    raise ValueError(f"unknown estimator {estimator!r}")
+        spectrum = _populations_exact(state, atom, theta_points)
+    elif estimator == "eq8":
+        spectrum = _populations_ringline(state, atom, params, phi_points)
+    elif estimator == "window":
+        spectrum = _populations_window(state, atom, params, phi_points, band_points)
+    else:
+        raise ValueError(f"unknown estimator {estimator!r}")
+    if not all(math.isfinite(e.p) for e in spectrum.entries):
+        raise AccuracyError(f"{estimator} ring populations hold NaN or Inf")
+    return spectrum
 
 
 def _populations_exact(state: TwoModeState, atom: AtomState, theta_points: int) -> PopulationSpectrum:
     blocks = state.blocks()
+    top = max(blocks, default=0)
+    if theta_points <= 2 * top:
+        # |sum_m C_m d[m, n](theta)|^2 has angular degree 2 * top
+        raise ValueError(
+            f"theta_points={theta_points} must exceed twice the largest block total ({top})"
+        )
     thetas = np.arange(theta_points) * (_TWO_PI / theta_points)
     c_g, c_e = atom.c_g, atom.c_e
     tables = {n_field: d_matrix_table(n_field, thetas) for n_field in blocks}
@@ -375,8 +408,7 @@ def _populations_ringline(
         raise ValueError("no deflected rings for this state/atom combination")
     channels = channel_tables(state, atom)
     radii = np.array([params.lam * math.sqrt(n) for n in range(1, n_max + 1)])
-    dens = _density_table(channels, radii, phi_points, params)
-    raw = radii * dens.mean(axis=1) * _TWO_PI
+    raw = radii * _angular_mean(channels, radii, phi_points, params) * _TWO_PI
     total = float(raw.sum())
     warnings = []
     over = _overlap_warning(params, n_max)
@@ -412,8 +444,7 @@ def _populations_window(
     for n in ns:
         lo, hi = _band_edges(n, params)
         p_band = np.linspace(lo, hi, band_points)
-        dens = _density_table(channels, p_band, phi_points, params)
-        angular = dens.mean(axis=1) * _TWO_PI
+        angular = _angular_mean(channels, p_band, phi_points, params) * _TWO_PI
         mass = float(np.trapezoid(angular * p_band, p_band))
         entries.append(SpectrumEntry(n, mass, "window"))
     warnings = []

@@ -7,6 +7,13 @@ matrix element connecting ``|m, N-m>`` in the original modes to ``|n, N-n>``
 in the rotated ones; ``dbar`` is the angle-independent amplitude of one term
 of its expansion in ``cos^j sin^k`` monomials.
 
+Every element of the block uses only the N+1 monomials ``cos^(N-k) sin^k``
+with ``k = m + n - 2q``, so ``d_matrix_table`` evaluates a whole angle table
+as one matrix product of the cached ``dbar`` coefficients
+(``_monomial_coefficients``) with the sampled monomials, and ``d_matrix`` is
+its one-angle case.  ``d_coeff`` sums the same terms one element at a time;
+it is the scalar route the quadrature oracle uses, independent of the table.
+
 Factorial ratios are accumulated with exact integer arithmetic before the
 single square root, so the coefficients are correct to rounding even when
 the individual factorials are astronomically large.
@@ -55,12 +62,25 @@ def d_coeff(total: int, m: int, n: int, theta):
     return out
 
 
-@lru_cache(maxsize=512)
-def _d_matrix_cached(total: int, theta: float) -> np.ndarray:
-    mat = np.empty((total + 1, total + 1))
+@lru_cache(maxsize=None)
+def _monomial_coefficients(total: int) -> np.ndarray:
+    """Read-only ``coef[m, n, k]``: the ``dbar`` multiplying ``cos^(N-k) sin^k``.
+
+    ``k = m + n - 2q`` is distinct for each admissible ``q``, so every entry
+    holds at most one ``dbar`` and the rest are zero.
+    """
+    coef = np.zeros((total + 1, total + 1, total + 1))
     for m in range(total + 1):
         for n in range(total + 1):
-            mat[m, n] = d_coeff(total, m, n, theta)
+            for q in range(max(0, m + n - total), min(m, n) + 1):
+                coef[m, n, m + n - 2 * q] = dbar(total, m, n, q)
+    coef.flags.writeable = False
+    return coef
+
+
+@lru_cache(maxsize=512)
+def _d_matrix_cached(total: int, theta: float) -> np.ndarray:
+    mat = d_matrix_table(total, np.array([theta]))[:, :, 0]
     mat.flags.writeable = False
     return mat
 
@@ -71,16 +91,19 @@ def d_matrix(total: int, theta: float) -> np.ndarray:
     Memoized on the exact (total, theta) key; the returned array is
     read-only so no caller can alter the cached value.
     """
-    if total < 0:
-        raise ValueError(f"block size must be non-negative, got {total}")
     return _d_matrix_cached(total, float(theta))
 
 
 def d_matrix_table(total: int, thetas: np.ndarray) -> np.ndarray:
-    """Rotation matrices sampled on an angle grid, shape (N+1, N+1, len(thetas))."""
-    thetas = np.asarray(thetas, dtype=float)
-    out = np.empty((total + 1, total + 1, thetas.size))
-    for m in range(total + 1):
-        for n in range(total + 1):
-            out[m, n] = d_coeff(total, m, n, thetas)
-    return out
+    """Rotation matrices sampled on an angle grid, shape (N+1, N+1, len(thetas)).
+
+    One flat matrix product of the monomial coefficients with
+    ``mono[k, t] = cos(theta_t)^(N-k) sin(theta_t)^k``.
+    """
+    if total < 0:
+        raise ValueError(f"block size must be non-negative, got {total}")
+    thetas = np.asarray(thetas, dtype=float).ravel()
+    powers = np.arange(total + 1)[:, None]
+    mono = np.cos(thetas) ** (total - powers) * np.sin(thetas) ** powers
+    coef = _monomial_coefficients(total)
+    return (coef.reshape(-1, total + 1) @ mono).reshape(total + 1, total + 1, thetas.size)

@@ -304,6 +304,46 @@ def test_cli_simulate_refuses_non_finite_density(tmp_path):
     assert not out.exists()
 
 
+HUGE_LAMBDA = {"lambda": 1e300, "k_delta_r": 0.1}  # overflows the radial factors
+
+
+@pytest.mark.parametrize("estimator", ["eq8", "window"])
+def test_cli_populations_refuse_non_finite_values(tmp_path, estimator):
+    spec = write_spec(tmp_path, {**NOON2, "params": HUGE_LAMBDA})
+    out = tmp_path / "pop"
+    with np.errstate(all="ignore"):
+        code = run_cli(["populations", "--state", spec, "--out", out, "--estimator", estimator])
+    assert code == 3
+    assert not out.exists()
+
+
+def test_cli_one_photon_readouts_refuse_non_finite_density(tmp_path):
+    spec = write_spec(
+        tmp_path, {"builder": {"name": "one_photon", "args": [0.3]}, "params": HUGE_LAMBDA}
+    )
+    with np.errstate(all="ignore"):
+        det = tmp_path / "det"
+        assert run_cli(["detect", "--state", spec, "--out", det]) == 3
+        sweep = tmp_path / "sweep"
+        assert run_cli(["sweep", "--state", spec, "--sweep", "0:1:3", "--out", sweep]) == 3
+    assert not det.exists()
+    assert not sweep.exists()
+
+
+def test_cli_two_photon_readouts_at_huge_lambda(tmp_path):
+    # exact populations do not depend on lambda and two-photon states skip the
+    # rotation readout, so the guard lets these through with NaN readout columns
+    spec = write_spec(
+        tmp_path, {"builder": {"name": "two_photon", "args": [0.4]}, "params": HUGE_LAMBDA}
+    )
+    assert run_cli(["detect", "--state", spec, "--out", tmp_path / "det"]) == 0
+    out = tmp_path / "sweep"
+    assert run_cli(["sweep", "--state", spec, "--sweep", "0:1:3", "--out", out]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()
+    assert len(rows) == 4
+    assert all(",nan,nan," in row for row in rows[1:])
+
+
 def grid_to_csv_reference(grid, path):
     """Reference exporter: every number of every line formatted on its own."""
     with open(path, "w", newline="") as fh:

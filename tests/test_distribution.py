@@ -23,8 +23,9 @@ from crosscavity import (
     w_grid,
     w_point,
 )
-from crosscavity.distribution import _density_table, channel_tables, default_p_max
+from crosscavity.distribution import _angular_mean, _density_table, channel_tables, default_p_max
 from crosscavity.kernel import gamma, mode_radial_table
+from crosscavity.quadrature import AccuracyError
 from crosscavity.rotation import d_matrix_table
 
 PARAMS = CouplingParams(20.0, 0.1)
@@ -449,3 +450,93 @@ def test_one_photon_rotation_covariance():
             lhs = w_point(rotated, EXCITED, MomentumPoint(p, phi), PARAMS)
             rhs = w_point(base, EXCITED, MomentumPoint(p, (phi - alpha) % (2 * math.pi)), PARAMS)
             assert abs(lhs - rhs) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# exact populations through the rotation tables
+# ---------------------------------------------------------------------------
+
+
+def exact_populations_d_coeff(state, atom):
+    """Reference exact estimator on the 1024-angle grid, from tables filled
+    by one ``d_coeff`` call per element."""
+    from test_rotation import d_coeff_table
+
+    blocks = state.blocks()
+    c_g, c_e = atom.c_g, atom.c_e
+    tables = {n_field: d_coeff_table(n_field) for n_field in blocks}
+    n_max = state.max_total + (1 if abs(c_e) > 0 else 0)
+    out = {n: 0.0 for n in range(1, n_max + 1)}
+    if abs(c_g) > 0:
+        out[0] = 0.0
+        for n_field, block in blocks.items():
+            amp = sum(coeff * tables[n_field][m, 0] for m, coeff in block.items())
+            out[0] += abs(c_g) ** 2 * float(np.mean(np.abs(amp) ** 2))
+    totals = set()
+    if abs(c_g) > 0:
+        totals |= {n for n in blocks if n >= 1}
+    if abs(c_e) > 0:
+        totals |= {n + 1 for n in blocks}
+    for total in sorted(totals):
+        for n in range(1, total + 1):
+            a_amp = np.zeros(1024, dtype=complex)
+            b_amp = np.zeros(1024, dtype=complex)
+            if abs(c_g) > 0 and total in blocks:
+                for m, coeff in blocks[total].items():
+                    a_amp += coeff * tables[total][m, n]
+            if abs(c_e) > 0 and (total - 1) in blocks:
+                for m, coeff in blocks[total - 1].items():
+                    b_amp += coeff * tables[total - 1][m, n - 1]
+            plus = np.mean(np.abs(c_g * a_amp + c_e * b_amp) ** 2)
+            minus = np.mean(np.abs(c_g * a_amp - c_e * b_amp) ** 2)
+            out[n] += 0.5 * float(plus) + 0.5 * float(minus)
+    return out
+
+
+@pytest.mark.parametrize(
+    "state, atom, hole",
+    [
+        (noon_state(32), EXCITED, None),
+        (family_state(4, 6), EXCITED, 16),  # total 30
+        (noon_state(3), SUPERPOSED, None),
+    ],
+    ids=["noon32", "family46", "noon3-superposed"],
+)
+def test_exact_populations_match_d_coeff_reference(state, atom, hole):
+    ref = exact_populations_d_coeff(state, atom)
+    got = populations(state, atom, PARAMS, estimator="exact").as_dict()
+    assert got.keys() == ref.keys()
+    for n, value in ref.items():
+        assert abs(got[n] - value) <= 1e-12, n
+    if hole is not None:
+        assert got[hole] <= 1e-10
+
+
+def test_exact_populations_refuse_too_few_angles():
+    # NOON-6 amplitudes have angular degree 6, their squares degree 12
+    state = noon_state(6)
+    for theta_points in (8, 12):
+        with pytest.raises(ValueError, match="theta_points"):
+            populations(state, EXCITED, PARAMS, estimator="exact", theta_points=theta_points)
+    # 13 angles already integrate every weight exactly
+    fine = populations(state, EXCITED, PARAMS, estimator="exact").as_dict()
+    coarse = populations(state, EXCITED, PARAMS, estimator="exact", theta_points=13).as_dict()
+    for n, value in fine.items():
+        assert coarse[n] == pytest.approx(value, abs=1e-13)
+
+
+@pytest.mark.parametrize("angular_points", [4, 7, 20, 720])
+def test_angular_mean_equals_density_table_mean(angular_points):
+    # 4, 7 and 20 angles alias several Fourier coefficients onto Delta = 0
+    channels = channel_tables(family_state(3, 2), SUPERPOSED)
+    p = np.linspace(0.0, default_p_max(family_state(3, 2), PARAMS), 40)
+    ref = _density_table(channels, p, angular_points, PARAMS).mean(axis=1)
+    got = _angular_mean(channels, p, angular_points, PARAMS)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * ref.max()
+
+
+@pytest.mark.parametrize("estimator", ["eq8", "window"])
+def test_populations_refuse_non_finite_values(estimator):
+    # lambda = 1e300 overflows the radial factors
+    with np.errstate(all="ignore"), pytest.raises(AccuracyError):
+        populations(noon_state(2), EXCITED, CouplingParams(1e300, 0.1), estimator=estimator)

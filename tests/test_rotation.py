@@ -1,9 +1,14 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from crosscavity import d_coeff, d_matrix, d_matrix_table, dbar
+from crosscavity.rotation import _monomial_coefficients
+from crosscavity.states import SUPPORT_CAP
+
+THETA_GRID = np.arange(1024) * (2 * math.pi / 1024)
 
 
 def monomial_map_matrix(total, theta):
@@ -122,3 +127,53 @@ def test_d_matrix_table_matches_scalar():
     table = d_matrix_table(2, thetas)
     for k, theta in enumerate(thetas):
         assert np.allclose(table[:, :, k], d_matrix(2, float(theta)), atol=1e-15)
+
+
+@functools.lru_cache(maxsize=None)
+def d_coeff_table(total):
+    """Reference table on ``THETA_GRID``: one ``d_coeff`` call per element."""
+    ref = np.empty((total + 1, total + 1, THETA_GRID.size))
+    for m in range(total + 1):
+        for n in range(total + 1):
+            ref[m, n] = d_coeff(total, m, n, THETA_GRID)
+    ref.flags.writeable = False
+    return ref
+
+
+def orthogonality_error(table):
+    """``max |D^T D - I|`` over every angle of an (N+1, N+1, T) table."""
+    gram = np.einsum("mnt,mkt->tnk", table, table)
+    return float(np.max(np.abs(gram - np.eye(table.shape[0]))))
+
+
+def test_d_matrix_table_matches_d_coeff_up_to_support_cap():
+    for total in range(SUPPORT_CAP + 1):
+        diff = np.max(np.abs(d_matrix_table(total, THETA_GRID) - d_coeff_table(total)))
+        assert diff <= 5e-12, (total, diff)
+
+
+def test_rotation_orthogonality_bound_up_to_support_cap():
+    # pinned drift bound; the worst cases measured are 1.4e-12 for the table
+    # and 1.7e-12 for d_coeff, both near N = 32
+    for total in range(SUPPORT_CAP + 1):
+        assert orthogonality_error(d_matrix_table(total, THETA_GRID)) <= 5e-12, total
+        assert orthogonality_error(d_coeff_table(total)) <= 5e-12, total
+
+
+def test_monomial_coefficients_hold_dbar():
+    total = 5
+    coef = _monomial_coefficients(total)
+    assert coef is _monomial_coefficients(total)
+    assert not coef.flags.writeable
+    for m in range(total + 1):
+        for n in range(total + 1):
+            qs = range(max(0, m + n - total), min(m, n) + 1)
+            expected = np.zeros(total + 1)
+            for q in qs:
+                expected[m + n - 2 * q] = dbar(total, m, n, q)
+            assert np.array_equal(coef[m, n], expected)
+
+
+def test_d_matrix_exact_identity_at_zero():
+    for total in range(SUPPORT_CAP + 1):
+        assert np.array_equal(d_matrix(total, 0.0), np.eye(total + 1))
