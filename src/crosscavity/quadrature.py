@@ -10,11 +10,17 @@ estimate and panel doubling on failure.  Works for arbitrary slit profiles,
 not just the exponential one the closed form requires.
 
 The inner integrand factorizes as ``exp(-i rho p cos theta) exp(i rho s)``
-with ``s = branch sqrt(n) lam``, so one exponential matrix per momentum
-magnitude serves every dressed channel through a cheap weighted matvec;
-:class:`QuadratureOracle` exploits that to make full validation batteries
-tractable.  Results depend only on the call signature, never on evaluation
-order.
+with ``s = branch sqrt(n) lam``, so the ``exp(-i rho c)`` factors, with
+``c = p cos theta``, built once per momentum magnitude serve every dressed
+channel.  Each Gauss-Legendre node is a panel edge plus an in-panel offset,
+``rho = e_j + o_l``, so those factors are never formed node by node: a
+P-panel, L-node rule keeps the edge factor ``exp(-i e_j c)`` (P rows) and the
+offset factor ``exp(-i o_l c)`` (L rows), and one transform is a matrix
+product with the offset factor followed by an edge-weighted column sum.
+:class:`QuadratureOracle` also shares the rotation coefficients of one
+momentum point across the index tuples that need them, which makes full
+validation batteries tractable.  Results depend only on the call signature,
+never on evaluation order.
 """
 
 from __future__ import annotations
@@ -154,21 +160,29 @@ def _gauss_nodes(order: int) -> Tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _panel_rule(rho_max: float, n_panels: int, order: int):
+def _panel_parts(rho_max: float, n_panels: int, order: int):
+    """Left panel edges, in-panel node offsets and per-panel weights."""
     edges = np.linspace(0.0, rho_max, n_panels + 1)
     h = edges[1] - edges[0]
     x, w = _gauss_nodes(order)
-    nodes = (edges[:-1, None] + (x[None, :] + 1.0) * (0.5 * h)).ravel()
-    weights = np.tile(w * 0.5 * h, n_panels)
+    return edges[:-1], (x + 1.0) * (0.5 * h), w * 0.5 * h
+
+
+def _panel_rule(rho_max: float, n_panels: int, order: int):
+    starts, offsets, w = _panel_parts(rho_max, n_panels, order)
+    nodes = (starts[:, None] + offsets[None, :]).ravel()
+    weights = np.tile(w, n_panels)
     return nodes, weights
 
 
 class QuadratureOracle:
     """Batch evaluator for the direct-quadrature kernel.
 
-    Caches radial transforms by (p_mag, n, branch) and the heavy exponential
-    matrices by momentum magnitude, sharing them across kernel indices and
-    momentum angles.
+    Caches radial transforms by (p_mag, n, branch) and, per momentum
+    magnitude, the panel-edge and in-panel-offset exponential factors, sharing
+    them across kernel indices and momentum angles.  The rotation
+    coefficients on the shifted angle grid are cached for the current
+    momentum point only, where both dressed branches use the same ones.
     """
 
     def __init__(
@@ -186,7 +200,11 @@ class QuadratureOracle:
         self._mass = float(np.trapezoid(rho * self.profile.density(rho), rho))
         self._radial: Dict[Tuple[float, int, int], Tuple[np.ndarray, float]] = {}
         self._exp_cache: Dict[Tuple[float, int, int], tuple] = {}
+        self._edge_cache: Dict[int, np.ndarray] = {}
         self._exp_cache_p: Optional[float] = None
+        self._rot_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
+        self._rot_point: Optional[Tuple[int, float]] = None
+        self._rot_theta: Optional[np.ndarray] = None
 
     # -- geometry ------------------------------------------------------
 
@@ -210,11 +228,20 @@ class QuadratureOracle:
         needed = max(4, math.ceil(self._rho_max / base_len))
         return 1 << max(3, (needed - 1).bit_length())
 
-    # -- shared exponential matrices ------------------------------------
+    # -- shared exponential factors --------------------------------------
 
     def _exp_matrix(self, p_mag: float, n_panels: int, order: int):
+        """Quadrature amplitudes and the separable factors of ``exp(-i rho c)``.
+
+        ``rho = e_j + o_l`` for panel edge ``e_j`` and in-panel offset
+        ``o_l``, so ``exp(-i rho c) = exp(-i e_j c) exp(-i o_l c)``: the
+        ``(P, T)`` edge factor and the ``(L, T)`` offset factor replace the
+        ``(P L, T)`` matrix over the half angle grid.  The edges do not depend
+        on the rule order, so both companion rules share the edge factor.
+        """
         if self._exp_cache_p != p_mag:
             self._exp_cache.clear()
+            self._edge_cache.clear()
             self._exp_cache_p = p_mag
         key = (p_mag, n_panels, order)
         hit = self._exp_cache.get(key)
@@ -224,8 +251,13 @@ class QuadratureOracle:
         theta_half = np.arange(n_theta // 2 + 1) * (_TWO_PI / n_theta)
         nodes, weights = _panel_rule(self._rho_max, n_panels, order)
         amp = weights * nodes * self.profile.density(nodes)
-        matrix = np.exp(-1j * np.outer(nodes, p_mag * np.cos(theta_half)))
-        entry = (nodes, amp, matrix, n_theta)
+        starts, offsets, _ = _panel_parts(self._rho_max, n_panels, order)
+        c = p_mag * np.cos(theta_half)
+        edge = self._edge_cache.get(n_panels)
+        if edge is None:
+            edge = self._edge_cache[n_panels] = np.exp(-1j * np.outer(starts, c))
+        offset = np.exp(-1j * np.outer(offsets, c))
+        entry = (nodes, amp, edge, offset, n_theta)
         self._exp_cache[key] = entry
         return entry
 
@@ -241,8 +273,9 @@ class QuadratureOracle:
         for _ in range(self.quad.max_radial_refinements + 1):
             results = []
             for order in _GL_ORDERS:
-                nodes, amp, matrix, n_theta = self._exp_matrix(p_mag, n_panels, order)
-                results.append((amp * np.exp(1j * shift * nodes)) @ matrix)
+                nodes, amp, edge, offset, n_theta = self._exp_matrix(p_mag, n_panels, order)
+                panel_amp = (amp * np.exp(1j * shift * nodes)).reshape(n_panels, -1)
+                results.append(np.einsum("jt,jt->t", edge, panel_amp @ offset))
             err = float(np.max(np.abs(results[1] - results[0])))
             best = (results[1], err, n_theta)
             if err <= tol:
@@ -275,14 +308,25 @@ class QuadratureOracle:
         self._radial[key] = table
         return table
 
+    def _rotation(self, n_theta: int, p_ang: float, total: int, m: int, n: int) -> np.ndarray:
+        """``d_coeff`` on the angle grid shifted by ``p_ang``, kept for one point."""
+        if self._rot_point != (n_theta, p_ang):
+            self._rot_cache.clear()
+            self._rot_point = (n_theta, p_ang)
+            self._rot_theta = np.arange(n_theta) * (_TWO_PI / n_theta) + p_ang
+        key = (total, m, n)
+        hit = self._rot_cache.get(key)
+        if hit is None:
+            hit = self._rot_cache[key] = d_coeff(total, m, n, self._rot_theta)
+        return hit
+
     # -- public evaluations ---------------------------------------------
 
     def fourier(self, idx: KernelIndices, point: MomentumPoint) -> complex:
         rad, _ = self._radial_table(point.p_mag, idx.n, idx.branch)
         n_theta = rad.size
-        theta = np.arange(n_theta) * (_TWO_PI / n_theta)
         d = idx.delta
-        dvals = d_coeff(idx.total - d, idx.m - d, idx.n - d, theta + point.p_ang)
+        dvals = self._rotation(n_theta, point.p_ang, idx.total - d, idx.m - d, idx.n - d)
         return complex(np.sum(dvals * rad) / n_theta)
 
     def w_density(self, state: TwoModeState, atom: AtomState, point: MomentumPoint) -> float:

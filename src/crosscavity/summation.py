@@ -1,4 +1,4 @@
-"""Compensated accumulation helpers for alternating-sign term sums."""
+"""Compensated accumulation helper for alternating-sign term sums."""
 
 from __future__ import annotations
 
@@ -21,9 +21,3 @@ class KahanSum:
     def value(self) -> complex:
         return self.total + self.carry
 
-
-def kahan_sum(values) -> complex:
-    acc = KahanSum()
-    for v in values:
-        acc.add(v)
-    return acc.value()

@@ -185,3 +185,111 @@ def test_radial_rule_failure_reports_estimate():
         # if the coarse rule is already this good, the error path stays idle;
         # force it with an absurd tolerance instead
         pytest.skip("panel rule met 1e-13 without refinement")
+
+
+def _direct_radial_tables(oracle, p_mag, shifts, n_panels):
+    """Reference: the order-24 panel rule against the full node-by-angle matrix.
+
+    One matrix, built in blocks of 16 panels to keep memory small, serves
+    every shift at the same momentum and panel count.
+    """
+    from crosscavity.quadrature import _panel_rule
+
+    n_theta = oracle.angular_points(p_mag)
+    theta_half = np.arange(n_theta // 2 + 1) * (2 * math.pi / n_theta)
+    c = p_mag * np.cos(theta_half)
+    nodes, weights = _panel_rule(oracle._rho_max, n_panels, 24)
+    amp = weights * nodes * oracle.profile.density(nodes)
+    coeff = amp * np.exp(1j * np.outer(shifts, nodes))
+    half = np.zeros((len(shifts), c.size), dtype=complex)
+    for lo in range(0, nodes.size, 384):
+        block = slice(lo, lo + 384)
+        half += coeff[:, block] @ np.exp(-1j * np.outer(nodes[block], c))
+    return np.concatenate([half, half[:, -2:0:-1]], axis=1)
+
+
+def _check_tables_against_direct(oracle, p_values):
+    """Every ``(p, n, branch)`` table for n <= 4 against the direct reference.
+
+    The reference sums the same terms in another order, so the two agree to
+    rounding of the summed amplitudes.  That rounding scales with the
+    amplitude mass rather than with ``max|R|``: when the shift and ``p cos
+    theta`` never cancel (lam = 100, k_delta_r = 0.3, p <= lam, n >= 3),
+    ``max|R|`` is ~1e-4 of the mass and even the direct sum sits a few
+    1e-12 max|R| from an extended-precision evaluation of itself.  Returns
+    whether any table needed panel doubling.
+    """
+    panels_used = []
+    probe = oracle._exp_matrix
+    oracle._exp_matrix = lambda p, n_panels, order: panels_used.append(n_panels) or probe(
+        p, n_panels, order
+    )
+    doubled = False
+    for p in p_values:
+        groups = {}
+        for n in range(5):
+            for branch in (1,) if n == 0 else (1, -1):
+                panels_used.clear()
+                table, _ = oracle._radial_table(float(p), n, branch)
+                doubled |= panels_used[-1] != panels_used[0]
+                shift = branch * math.sqrt(n) * oracle.params.lam
+                groups.setdefault(panels_used[-1], []).append((shift, table))
+        for n_panels, entries in groups.items():
+            shifts = [shift for shift, _ in entries]
+            refs = _direct_radial_tables(oracle, float(p), shifts, n_panels)
+            for (shift, table), ref in zip(entries, refs):
+                scale = max(float(np.max(np.abs(ref))), oracle._mass)
+                assert table.shape == ref.shape
+                assert np.max(np.abs(table - ref)) <= 1e-13 * scale, (p, shift)
+    return doubled
+
+
+@pytest.mark.parametrize("lam", [5.0, 20.0, 100.0])
+@pytest.mark.parametrize("kdr", [0.1, 0.3])
+def test_factorized_radial_transform_matches_direct_reference(lam, kdr):
+    oracle = QuadratureOracle(CouplingParams(lam, kdr))
+    _check_tables_against_direct(oracle, [0.0, 0.7 * lam, 2.3 * lam, 4.0 * lam])
+
+
+def test_factorized_radial_transform_tabulated_profile():
+    rho = np.linspace(0.0, 6.0, 400)
+    profile = SlitProfile.tabulated(rho, np.exp(-rho / 0.4) * (1.0 + 0.3 * np.cos(3.0 * rho)))
+    oracle = QuadratureOracle(PARAMS, profile=profile, quad=QuadratureSpec(radial_rel_tol=1e-7))
+    _check_tables_against_direct(oracle, [0.0, 14.0, 46.0, 80.0])
+
+
+def test_factorized_radial_transform_through_panel_doubling():
+    # a tight tolerance forces at least one doubling past the initial panel count
+    quad = QuadratureSpec(radial_rel_tol=1e-13)
+    oracle = QuadratureOracle(CouplingParams(20.0, 0.3), quad=quad)
+    assert _check_tables_against_direct(oracle, [31.0])
+
+
+def test_fourier_independent_of_evaluation_order():
+    params = CouplingParams(20.0, 0.3)
+    targets = [
+        (KernelIndices(3, 2, 1, "g", 1), MomentumPoint(23.0, 1.3)),
+        (KernelIndices(3, 2, 1, "g", -1), MomentumPoint(23.0, 1.3)),
+        (KernelIndices(3, 3, 2, "e", -1), MomentumPoint(23.0, 1.3)),
+        (KernelIndices(2, 1, 1, "g", 1), MomentumPoint(41.0, 1.3)),
+        (KernelIndices(4, 0, 0, "g", 1), MomentumPoint(41.0, 5.0)),
+    ]
+    fresh = {}
+    for idx, point in targets:
+        fresh[idx, point] = QuadratureOracle(params).fourier(idx, point)
+    warm = QuadratureOracle(params)
+    # warm on other momenta, the same angle at another magnitude, the same
+    # magnitude at another angle, and the targets' own indices elsewhere
+    warmers = [MomentumPoint(23.0, 0.2), MomentumPoint(12.0, 1.3), MomentumPoint(41.0, 2.0)]
+    for point in warmers:
+        for total in (1, 2, 3, 4):
+            for m in range(total + 1):
+                for n in range(total + 1):
+                    for branch in (1, -1):
+                        warm.fourier(KernelIndices(total, m, n, "g", branch), point)
+                        if m and n:
+                            warm.fourier(KernelIndices(total, m, n, "e", branch), point)
+    for idx, point in reversed(targets):
+        assert warm.fourier(idx, point) == fresh[idx, point]
+    for idx, point in targets:
+        assert warm.fourier(idx, point) == fresh[idx, point]
