@@ -187,6 +187,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_coeffs(args) -> int:
+    if not math.isfinite(args.theta):
+        raise specio.StateSpecError(f"--theta must be finite, got {args.theta!r}")
     if args.total > SUPPORT_CAP:
         raise InvalidStateError(f"block size {args.total} exceeds support cap {SUPPORT_CAP}")
     mat = d_matrix(args.total, args.theta)

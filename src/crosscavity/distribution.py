@@ -34,8 +34,9 @@ Ring populations come in three estimators:
 ``exact``
     Dressed-channel weights from angle quadrature of the rotation
     coefficients; never touches the Fourier kernels, sums to 1 to rounding.
-    The uniform rule is exact only with more than ``2 N`` angles for the
-    largest block total ``N``; fewer are refused.
+    Each weight is the mean of a trigonometric polynomial of degree at most
+    ``2 N`` for the largest block total ``N``, so the uniform rule on
+    ``2 N + 1`` angles (the default) is exact; fewer are refused.
 ``eq8``
     Ring line integral ``lam sqrt(n) Int W(lam sqrt(n), phi) dphi``,
     renormalized across rings.  The raw line integral systematically carries
@@ -245,15 +246,12 @@ def w_grid(
     kernel: str = "analytic",
     profile: Optional[SlitProfile] = None,
     quad: Optional[QuadratureSpec] = None,
-    workers: Optional[int] = None,
 ) -> MomentumGrid:
     """Fill a polar grid with the momentum density.
 
     ``kernel="analytic"`` uses the closed form (exponential profile only);
     ``kernel="numeric"`` routes every point through the quadrature oracle,
     which accepts arbitrary profiles but is orders of magnitude slower.
-    ``workers`` is accepted for compatibility and changes nothing: the
-    assembly is one inverse FFT and runs in the calling thread.
     """
     grid = grid or GridSpec()
     p_max = grid.p_max if grid.p_max is not None else default_p_max(state, params)
@@ -331,11 +329,18 @@ def populations(
     atom: AtomState,
     params: CouplingParams,
     estimator: str = "exact",
-    theta_points: int = 1024,
+    theta_points: Optional[int] = None,
     phi_points: int = 720,
     band_points: int = 320,
 ) -> PopulationSpectrum:
     """Ring populations P_n by the chosen estimator (see module docstring).
+
+    ``theta_points`` is the number of uniform rotation angles of the ``exact``
+    estimator.  By default it is ``2 N + 1`` for the largest block total
+    ``N``, the smallest count at which the rule is exact; a larger count
+    gives the same weights to rounding, and ``2 N`` or fewer is refused with
+    ``ValueError``.  ``phi_points`` and ``band_points`` set the angle and
+    radius samples of ``eq8`` and ``window``.
 
     Raises ``AccuracyError`` when a population is NaN or Inf (for example
     when the radial factors overflow at a huge ``lam``).
@@ -353,41 +358,43 @@ def populations(
     return spectrum
 
 
-def _populations_exact(state: TwoModeState, atom: AtomState, theta_points: int) -> PopulationSpectrum:
+def _populations_exact(
+    state: TwoModeState, atom: AtomState, theta_points: Optional[int]
+) -> PopulationSpectrum:
     blocks = state.blocks()
     top = max(blocks, default=0)
+    if theta_points is None:
+        theta_points = 2 * top + 1
     if theta_points <= 2 * top:
-        # |sum_m C_m d[m, n](theta)|^2 has angular degree 2 * top
+        # |c_g a +- c_e b|^2 has angular degree 2 * top
         raise ValueError(
             f"theta_points={theta_points} must exceed twice the largest block total ({top})"
         )
     thetas = np.arange(theta_points) * (_TWO_PI / theta_points)
     c_g, c_e = atom.c_g, atom.c_e
-    tables = {n_field: d_matrix_table(n_field, thetas) for n_field in blocks}
+    # amps[N][n] = sum_m C_m d[m, n](theta) over the block's support
+    amps = {
+        n_field: np.tensordot(
+            np.array(list(block.values())), d_matrix_table(n_field, thetas)[list(block)], axes=1
+        )
+        for n_field, block in blocks.items()
+    }
     n_max = _n_max(state, atom)
 
     p0_terms: List[float] = []
     ring_terms: Dict[int, List[float]] = {n: [] for n in range(1, n_max + 1)}
     if abs(c_g) > 0:
-        for n_field, block in blocks.items():
-            amp = np.zeros(theta_points, dtype=complex)
-            for m, coeff in block.items():
-                amp += coeff * tables[n_field][m, 0]
-            p0_terms.append(abs(c_g) ** 2 * float(np.mean(np.abs(amp) ** 2)))
+        for amp in amps.values():
+            p0_terms.append(abs(c_g) ** 2 * float(np.mean(np.abs(amp[0]) ** 2)))
 
     for total in _deflected_totals(blocks, atom):
+        # rows n = 1..total; a missing side contributes nothing
+        a_amp = amps[total][1:] if abs(c_g) > 0 and total in blocks else 0.0
+        b_amp = amps[total - 1] if abs(c_e) > 0 and (total - 1) in blocks else 0.0
+        plus = np.mean(np.abs(c_g * a_amp + c_e * b_amp) ** 2, axis=-1)
+        minus = np.mean(np.abs(c_g * a_amp - c_e * b_amp) ** 2, axis=-1)
         for n in range(1, total + 1):
-            a_amp = np.zeros(theta_points, dtype=complex)
-            b_amp = np.zeros(theta_points, dtype=complex)
-            if abs(c_g) > 0 and total in blocks:
-                for m, coeff in blocks[total].items():
-                    a_amp += coeff * tables[total][m, n]
-            if abs(c_e) > 0 and (total - 1) in blocks:
-                for m, coeff in blocks[total - 1].items():
-                    b_amp += coeff * tables[total - 1][m, n - 1]
-            plus = np.abs(c_g * a_amp + c_e * b_amp) ** 2
-            minus = np.abs(c_g * a_amp - c_e * b_amp) ** 2
-            ring_terms[n].append(0.5 * float(np.mean(plus)) + 0.5 * float(np.mean(minus)))
+            ring_terms[n].append(0.5 * float(plus[n - 1]) + 0.5 * float(minus[n - 1]))
 
     entries = []
     if abs(c_g) > 0:

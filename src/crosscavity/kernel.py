@@ -43,11 +43,12 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .rotation import _FACT, dbar
-from .states import CouplingParams
+from .rotation import dbar
+from .states import SUPPORT_CAP, CouplingParams
 from .summation import KahanSum
 
 _TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
+_FACT = [math.factorial(k) for k in range(2 * SUPPORT_CAP + 4)]
 
 
 class UnsupportedProfileError(ValueError):

@@ -14,22 +14,18 @@ as one matrix product of the cached ``dbar`` coefficients
 its one-angle case.  ``d_coeff`` sums the same terms one element at a time;
 it is the scalar route the quadrature oracle uses, independent of the table.
 
-Factorial ratios are accumulated with exact integer arithmetic before the
-single square root, so the coefficients are correct to rounding even when
-the individual factorials are astronomically large.
+The square of each ``dbar`` is a product of four binomial coefficients,
+an exact integer, so one correctly rounded square root gives the
+coefficient to rounding even when the factorials behind it are
+astronomically large.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-
-from .states import SUPPORT_CAP
-
-_FACT = [math.factorial(k) for k in range(2 * SUPPORT_CAP + 4)]
 
 
 def _check_block_indices(total: int, m: int, n: int) -> None:
@@ -46,9 +42,11 @@ def dbar(total: int, m: int, n: int, q: int) -> float:
         raise ValueError(
             f"q={q} outside admissible range [{max(0, m + n - total)}, {min(m, n)}]"
         )
-    num = _FACT[m] * _FACT[n] * _FACT[total - m] * _FACT[total - n]
-    den = _FACT[q] * _FACT[m - q] * _FACT[n - q] * _FACT[total - m - n + q]
-    value = math.sqrt(float(Fraction(num, den * den)))
+    # m! n! (N-m)! (N-n)! / (q! (m-q)! (n-q)! (N-m-n+q)!)^2
+    square = (
+        math.comb(m, q) * math.comb(n, q) * math.comb(total - m, n - q) * math.comb(total - n, m - q)
+    )
+    value = math.sqrt(square)
     return -value if (m - q) % 2 else value
 
 

@@ -201,6 +201,14 @@ def test_cli_coeffs(tmp_path):
     assert run_cli(["coeffs", "--total", 99, "--theta", 0.0, "--out", out]) == 4
 
 
+def test_cli_coeffs_rejects_non_finite_theta(tmp_path):
+    for theta in ("nan", "inf", "-inf"):
+        out = tmp_path / f"c{theta}"
+        # "--theta=" because argparse reads a bare "-inf" as an option
+        assert run_cli(["coeffs", "--total", 2, f"--theta={theta}", "--out", out]) == 2
+        assert not out.exists()
+
+
 def test_cli_separable_two_photon_detect(tmp_path):
     spec = write_spec(
         tmp_path,

@@ -218,14 +218,6 @@ def test_numeric_kernel_grid_matches_analytic():
     assert np.max(np.abs(a.densities - b.densities)) <= 1e-6 * a.densities.max()
 
 
-def test_grid_worker_count_does_not_change_bytes():
-    state = noon_state(2)
-    spec = GridSpec(radial_points=120, angular_points=60)
-    a = w_grid(state, EXCITED, PARAMS, spec, workers=1)
-    b = w_grid(state, EXCITED, PARAMS, spec, workers=5)
-    assert a.densities.tobytes() == b.densities.tobytes()
-
-
 # ---------------------------------------------------------------------------
 # angular assembly
 # ---------------------------------------------------------------------------
@@ -523,6 +515,48 @@ def test_exact_populations_refuse_too_few_angles():
     coarse = populations(state, EXCITED, PARAMS, estimator="exact", theta_points=13).as_dict()
     for n, value in fine.items():
         assert coarse[n] == pytest.approx(value, abs=1e-13)
+
+
+READOUT_STATES = {
+    **{f"noon{n}": noon_state(n) for n in (2, 3, 4, 5, 18, 32)},
+    "family2_5": family_state(2, 5),  # total 22
+    "family4_6": family_state(4, 6),  # total 30
+    **{f"one{alpha:.3f}": one_photon_state(alpha) for alpha in (0.0, 0.3, math.pi / 4, math.pi / 2)},
+    **{f"two{alpha:.3f}": two_photon_state(alpha) for alpha in (0.0, 0.3, math.pi / 4, math.pi / 2)},
+}
+
+
+@pytest.mark.parametrize("atom", [AtomState.ground(), EXCITED, SUPERPOSED], ids=["g", "e", "s"])
+@pytest.mark.parametrize("name", sorted(READOUT_STATES))
+def test_exact_default_grid_matches_1024_angles(name, atom):
+    state = READOUT_STATES[name]
+    ref = populations(state, atom, PARAMS, estimator="exact", theta_points=1024).as_dict()
+    got = populations(state, atom, PARAMS, estimator="exact").as_dict()
+    assert got.keys() == ref.keys()
+    for n, value in ref.items():
+        assert abs(got[n] - value) <= 1e-13, n
+    hole = state.tags.get("missing_ring")
+    if hole is not None and atom is EXCITED:
+        assert got[hole] <= 1e-10
+
+
+def test_exact_grid_is_smallest_exact_or_the_override(monkeypatch):
+    import crosscavity.distribution as distribution
+
+    sizes = []
+
+    def recording(total, thetas):
+        sizes.append(thetas.size)
+        return d_matrix_table(total, thetas)
+
+    monkeypatch.setattr(distribution, "d_matrix_table", recording)
+    for state, top in ((noon_state(32), 32), (family_state(2, 5), 22), (one_photon_state(0.3), 1)):
+        sizes.clear()
+        populations(state, SUPERPOSED, PARAMS, estimator="exact")
+        assert sizes and set(sizes) == {2 * top + 1}
+        sizes.clear()
+        populations(state, SUPERPOSED, PARAMS, estimator="exact", theta_points=100)
+        assert sizes and set(sizes) == {100}
 
 
 @pytest.mark.parametrize("angular_points", [4, 7, 20, 720])

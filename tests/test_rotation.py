@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +42,26 @@ def test_dbar_hand_values():
     assert dbar(1, 1, 1, 1) == pytest.approx(1.0)
     assert dbar(1, 1, 0, 0) == pytest.approx(-1.0)
     assert dbar(2, 0, 1, 0) == pytest.approx(math.sqrt(2.0))
+
+
+def dbar_from_factorials(total, m, n, q):
+    """Reference ``dbar``: the exact factorial ratio, one square root."""
+    f = math.factorial
+    num = f(m) * f(n) * f(total - m) * f(total - n)
+    den = f(q) * f(m - q) * f(n - q) * f(total - m - n + q)
+    value = math.sqrt(float(Fraction(num, den * den)))
+    return -value if (m - q) % 2 else value
+
+
+def test_dbar_equals_factorial_ratio():
+    # both square roots take the same correctly rounded float of the same integer
+    for total in range(SUPPORT_CAP + 2):
+        for m in range(total + 1):
+            for n in range(total + 1):
+                for q in range(max(0, m + n - total), min(m, n) + 1):
+                    assert dbar(total, m, n, q) == dbar_from_factorials(total, m, n, q), (
+                        total, m, n, q,
+                    )
 
 
 def test_dbar_range_checks():
