@@ -116,6 +116,10 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_detect(args) -> int:
+    thresholds = {"--abs-threshold": args.abs_threshold, "--rel-threshold": args.rel_threshold}
+    for flag, value in thresholds.items():
+        if not (math.isfinite(value) and value >= 0.0):
+            raise specio.StateSpecError(f"{flag} must be finite and non-negative, got {value!r}")
     spec = _load_spec(args.state)
     report = detect(
         spec.state,
@@ -157,6 +161,8 @@ def _cmd_sweep(args) -> int:
     try:
         start_s, stop_s, count_s = args.sweep.split(":")
         start, stop, count = float(start_s), float(stop_s), int(count_s)
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ValueError("endpoints must be finite")
         if count < 2:
             raise ValueError("need at least 2 sweep points")
     except ValueError as exc:
@@ -288,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="cross-check closed-form kernels against quadrature")
     p.add_argument("--out", default=None)
     p.add_argument(
-        "--full", action="store_true", help="run the full battery (33600 comparisons, seconds)"
+        "--full",
+        action="store_true",
+        help="run the full battery (33600 comparisons, about 8 s on a 2-vCPU machine)",
     )
     p.set_defaults(run=_cmd_validate)
 

@@ -100,8 +100,11 @@ class MomentumPoint:
         p = float(self.p_mag)
         if not (math.isfinite(p) and p >= 0.0):
             raise ValueError(f"momentum magnitude must be >= 0, got {self.p_mag!r}")
+        phi = float(self.p_ang)
+        if not math.isfinite(phi):
+            raise ValueError(f"momentum angle must be finite, got {self.p_ang!r}")
         object.__setattr__(self, "p_mag", p)
-        object.__setattr__(self, "p_ang", float(self.p_ang) % (2.0 * math.pi))
+        object.__setattr__(self, "p_ang", phi % (2.0 * math.pi))
 
 
 def gamma(n: int, params: CouplingParams, branch: int) -> complex:

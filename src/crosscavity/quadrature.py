@@ -17,10 +17,17 @@ channel.  Each Gauss-Legendre node is a panel edge plus an in-panel offset,
 P-panel, L-node rule keeps the edge factor ``exp(-i e_j c)`` (P rows) and the
 offset factor ``exp(-i o_l c)`` (L rows), and one transform is a matrix
 product with the offset factor followed by an edge-weighted column sum.
-:class:`QuadratureOracle` also shares the rotation coefficients of one
-momentum point across the index tuples that need them, which makes full
-validation batteries tractable.  Results depend only on the call signature,
-never on evaluation order.
+
+The angle integral is the trapezoid sum ``(1/T) sum_t d(theta_t + phi) R_t``
+with ``theta_t = 2 pi t / T``, rotation element ``d`` and radial table ``R``.
+``d`` is a trigonometric polynomial of degree ``N <= total < T``, so with
+``d(theta) = sum_{|k|<=N} dhat_k exp(i k theta)`` and ``Rf = fft(R) / T`` the
+sum equals ``sum_k dhat_k exp(i k phi) Rf[-k mod T]`` exactly, whatever ``R``
+holds.  :class:`QuadratureOracle` therefore keeps ``Rf`` per radial table and
+the ``2N+1`` coefficients ``dhat`` per rotation index, sampled from
+``d_coeff`` on ``2N+1`` angles, and each amplitude is one short contraction,
+which makes full validation batteries tractable.  Results depend only on the
+call signature, never on evaluation order.
 """
 
 from __future__ import annotations
@@ -178,11 +185,10 @@ def _panel_rule(rho_max: float, n_panels: int, order: int):
 class QuadratureOracle:
     """Batch evaluator for the direct-quadrature kernel.
 
-    Caches radial transforms by (p_mag, n, branch) and, per momentum
-    magnitude, the panel-edge and in-panel-offset exponential factors, sharing
-    them across kernel indices and momentum angles.  The rotation
-    coefficients on the shifted angle grid are cached for the current
-    momentum point only, where both dressed branches use the same ones.
+    Caches the spectra of the radial tables by (p_mag, n, branch), the
+    Fourier coefficients of each rotation element by (total, m, n) and, per
+    momentum magnitude, the panel-edge and in-panel-offset exponential
+    factors, sharing them across kernel indices and momentum angles.
     """
 
     def __init__(
@@ -198,13 +204,11 @@ class QuadratureOracle:
         rho = np.linspace(0.0, self._rho_max, 4001)
         # absolute scale for radial tolerances: total amplitude mass
         self._mass = float(np.trapezoid(rho * self.profile.density(rho), rho))
-        self._radial: Dict[Tuple[float, int, int], Tuple[np.ndarray, float]] = {}
+        self._radial: Dict[Tuple[float, int, int], np.ndarray] = {}
+        self._harmonics: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._exp_cache: Dict[Tuple[float, int, int], tuple] = {}
         self._edge_cache: Dict[int, np.ndarray] = {}
         self._exp_cache_p: Optional[float] = None
-        self._rot_cache: Dict[Tuple[int, int, int], np.ndarray] = {}
-        self._rot_point: Optional[Tuple[int, float]] = None
-        self._rot_theta: Optional[np.ndarray] = None
 
     # -- geometry ------------------------------------------------------
 
@@ -295,39 +299,43 @@ class QuadratureOracle:
         return full, err
 
     def _radial_table(self, p_mag: float, n: int, branch: int):
-        branch = 1 if n == 0 else branch
-        key = (p_mag, n, branch)
-        hit = self._radial.get(key)
-        if hit is not None:
-            return hit
-        shift = branch * math.sqrt(n) * self.params.lam
-        c_max = p_mag + abs(shift)
-        table = self._radial_transform(p_mag, shift, c_max)
-        if len(self._radial) > 4096:
-            self._radial.clear()
-        self._radial[key] = table
-        return table
+        """Angular table of one radial transform and its error bound (uncached)."""
+        shift = (1 if n == 0 else branch) * math.sqrt(n) * self.params.lam
+        return self._radial_transform(p_mag, shift, p_mag + abs(shift))
 
-    def _rotation(self, n_theta: int, p_ang: float, total: int, m: int, n: int) -> np.ndarray:
-        """``d_coeff`` on the angle grid shifted by ``p_ang``, kept for one point."""
-        if self._rot_point != (n_theta, p_ang):
-            self._rot_cache.clear()
-            self._rot_point = (n_theta, p_ang)
-            self._rot_theta = np.arange(n_theta) * (_TWO_PI / n_theta) + p_ang
-        key = (total, m, n)
-        hit = self._rot_cache.get(key)
+    def _radial_spectrum(self, p_mag: float, n: int, branch: int) -> np.ndarray:
+        """``fft(R) / T`` of the radial table, cached by (p_mag, n, branch)."""
+        key = (p_mag, n, 1 if n == 0 else branch)
+        hit = self._radial.get(key)
         if hit is None:
-            hit = self._rot_cache[key] = d_coeff(total, m, n, self._rot_theta)
+            table, _ = self._radial_table(p_mag, n, branch)
+            if len(self._radial) > 4096:
+                self._radial.clear()
+            hit = self._radial[key] = np.fft.fft(table) / table.size
+        return hit
+
+    def _rotation_harmonics(self, total: int, m: int, n: int):
+        """``(dhat, k)``: Fourier coefficients of ``d_coeff`` for ``k = -total..total``.
+
+        The element has angular degree <= total, so the DFT of ``2 total + 1``
+        uniform samples gives its coefficients exactly.
+        """
+        key = (total, m, n)
+        hit = self._harmonics.get(key)
+        if hit is None:
+            size = 2 * total + 1
+            samples = d_coeff(total, m, n, np.arange(size) * (_TWO_PI / size))
+            dhat = np.fft.fftshift(np.fft.fft(samples)) / size
+            hit = self._harmonics[key] = (dhat, np.arange(-total, total + 1))
         return hit
 
     # -- public evaluations ---------------------------------------------
 
     def fourier(self, idx: KernelIndices, point: MomentumPoint) -> complex:
-        rad, _ = self._radial_table(point.p_mag, idx.n, idx.branch)
-        n_theta = rad.size
+        spec = self._radial_spectrum(point.p_mag, idx.n, idx.branch)
         d = idx.delta
-        dvals = self._rotation(n_theta, point.p_ang, idx.total - d, idx.m - d, idx.n - d)
-        return complex(np.sum(dvals * rad) / n_theta)
+        dhat, k = self._rotation_harmonics(idx.total - d, idx.m - d, idx.n - d)
+        return complex(dhat @ (np.exp(1j * point.p_ang * k) * spec[-k]))
 
     def w_density(self, state: TwoModeState, atom: AtomState, point: MomentumPoint) -> float:
         """Momentum density assembled from numeric kernels (oracle route)."""

@@ -209,6 +209,30 @@ def test_cli_coeffs_rejects_non_finite_theta(tmp_path):
         assert not out.exists()
 
 
+def test_cli_detect_rejects_bad_thresholds(tmp_path):
+    spec = write_spec(tmp_path, NOON2)
+    cases = [("abs", "nan"), ("abs", "inf"), ("abs", "-1"), ("rel", "nan"), ("rel", "inf"), ("rel", "-0.5")]
+    for which, value in cases:
+        out = tmp_path / f"det-{which}{value}"
+        # "--flag=value" because argparse reads a bare "-inf" as an option
+        assert run_cli(["detect", "--state", spec, f"--{which}-threshold={value}", "--out", out]) == 2
+        assert not out.exists()
+    out = tmp_path / "det-zero"
+    assert run_cli(["detect", "--state", spec, "--abs-threshold=0", "--out", out]) == 0
+    assert (out / "detection.json").exists()
+
+
+def test_cli_sweep_rejects_non_finite_endpoints(tmp_path):
+    spec = write_spec(
+        tmp_path,
+        {"builder": {"name": "one_photon", "args": [0.0]}, "params": {"lambda": 20, "k_delta_r": 0.1}},
+    )
+    for sweep in ("0:nan:3", "0:inf:3", "nan:1:3", "-inf:0:3"):
+        out = tmp_path / f"sweep{sweep.replace(':', '_')}"
+        assert run_cli(["sweep", "--state", spec, f"--sweep={sweep}", "--out", out]) == 2
+        assert not out.exists()
+
+
 def test_cli_separable_two_photon_detect(tmp_path):
     spec = write_spec(
         tmp_path,

@@ -88,6 +88,12 @@ def test_momentum_point_validation():
         MomentumPoint(-1.0, 0.0)
 
 
+def test_momentum_point_rejects_non_finite_angle():
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="angle"):
+            MomentumPoint(1.0, angle)
+
+
 def test_r_factor_hand_value():
     idx = KernelIndices(1, 1, 1, "e", 1)
     assert r_factor(idx, 0, 0, 0) == pytest.approx(1.0)

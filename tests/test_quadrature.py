@@ -293,3 +293,73 @@ def test_fourier_independent_of_evaluation_order():
         assert warm.fourier(idx, point) == fresh[idx, point]
     for idx, point in targets:
         assert warm.fourier(idx, point) == fresh[idx, point]
+
+
+def _shifted_grid_sum(table, total, m, n, p_ang):
+    """Reference: the trapezoid sum of the rotation element on the shifted grid."""
+    from crosscavity.rotation import d_coeff
+
+    theta = np.arange(table.size) * (2 * math.pi / table.size) + p_ang
+    return np.sum(d_coeff(total, m, n, theta) * table) / table.size
+
+
+def _indices_up_to(max_total):
+    for total in range(max_total + 1):
+        for epsilon in ("g", "e"):
+            lo = 1 if epsilon == "e" else 0
+            for m in range(lo, total + 1):
+                for n in range(lo, total + 1):
+                    for branch in (1, -1):
+                        yield KernelIndices(total, m, n, epsilon, branch)
+
+
+@pytest.mark.parametrize("lam", [5.0, 20.0, 100.0])
+@pytest.mark.parametrize("kdr", [0.1, 0.3])
+def test_fourier_matches_shifted_grid_sum(lam, kdr):
+    # the harmonic contraction equals the trapezoid sum over the shifted angle
+    # grid it replaces, for every index of total <= 4 in both channels
+    oracle = QuadratureOracle(CouplingParams(lam, kdr))
+    indices = list(_indices_up_to(4))
+    for p in (0.0, 3.0, lam, 2.0 * lam):
+        tables = {}
+        for p_ang in (0.0, 0.9, 2.6, 5.1):
+            point = MomentumPoint(p, p_ang)
+            for idx in indices:
+                branch = 1 if idx.n == 0 else idx.branch
+                if (idx.n, branch) not in tables:
+                    tables[idx.n, branch] = oracle._radial_table(p, idx.n, branch)[0]
+                d = idx.delta
+                table = tables[idx.n, branch]
+                ref = _shifted_grid_sum(table, idx.total - d, idx.m - d, idx.n - d, p_ang)
+                assert abs(oracle.fourier(idx, point) - ref) <= 1e-14 * oracle._mass, (idx, point)
+
+
+def test_numeric_grid_cost_independent_of_angle_count(monkeypatch):
+    # rotation harmonics are built once per index and radial transforms once
+    # per (p, n, branch): neither count may grow with the number of angles
+    import crosscavity.quadrature as quadrature
+    from crosscavity import GridSpec, w_grid
+
+    counts = {}
+    d_coeff = quadrature.d_coeff
+    transform = QuadratureOracle._radial_transform
+
+    def counted_d_coeff(*args):
+        counts["d_coeff"] += 1
+        return d_coeff(*args)
+
+    def counted_transform(self, *args):
+        counts["radial_transform"] += 1
+        return transform(self, *args)
+
+    monkeypatch.setattr(quadrature, "d_coeff", counted_d_coeff)
+    monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
+    atom = AtomState.normalized(1.0, 0.5j)
+    seen = []
+    for angles in (5, 40):
+        counts.update(d_coeff=0, radial_transform=0)
+        grid = GridSpec(radial_points=4, angular_points=angles, p_max=60.0)
+        w_grid(noon_state(3), atom, PARAMS, grid=grid, kernel="numeric")
+        seen.append(dict(counts))
+    assert seen[0]["d_coeff"] > 0 and seen[0]["radial_transform"] > 0
+    assert seen[0] == seen[1]
