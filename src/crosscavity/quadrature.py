@@ -26,8 +26,18 @@ sum equals ``sum_k dhat_k exp(i k phi) Rf[-k mod T]`` exactly, whatever ``R``
 holds.  :class:`QuadratureOracle` therefore keeps ``Rf`` per radial table and
 the ``2N+1`` coefficients ``dhat`` per rotation index, sampled from
 ``d_coeff`` on ``2N+1`` angles, and each amplitude is one short contraction,
-which makes full validation batteries tractable.  Results depend only on the
-call signature, never on evaluation order.
+which makes full validation batteries tractable.
+
+Two more exact identities serve the density.  Every channel amplitude of
+``w_density`` is a fixed linear combination of kernel amplitudes on one
+radial table, so its harmonic coefficients combine once per ``(state,
+atom)`` into one row of a channel plan, and each momentum point is one
+contraction of that plan with the radial spectra.  And since ``g`` is real
+and ``cos(theta + pi) = -cos(theta)``, the minus-branch table is
+``R_-(theta) = conj(R_+(theta + pi))``; on the even angle grid its spectrum is
+``Rf_-[k] = (-1)^k conj(Rf_+[-k])``, so only plus-branch tables are
+transformed.  Results depend only on the call signature, never on
+evaluation order.
 """
 
 from __future__ import annotations
@@ -44,6 +54,11 @@ from .rotation import d_coeff
 from .states import AtomState, CouplingParams, TwoModeState
 
 _TWO_PI = 2.0 * math.pi
+
+# Largest edge factor ``exp(-i e_j c)`` (panels x half-grid angles) one radial
+# rule may hold: 2**24 complex entries, 256 MiB.  The test suite's largest rule
+# has 3.9e6 entries (1024 panels x 7624 angles at lam = 100, p = 400).
+MAX_RULE_ENTRIES = 1 << 24
 
 
 class AccuracyError(RuntimeError):
@@ -80,6 +95,8 @@ class SlitProfile:
         values = np.asarray(values, dtype=float)
         if rho.ndim != 1 or rho.size < 4 or rho.shape != values.shape:
             raise ValueError("need matching 1-d arrays with at least 4 samples")
+        if not (np.isfinite(rho).all() and np.isfinite(values).all()):
+            raise ValueError("radial and density samples must be finite")
         if rho[0] < 0 or np.any(np.diff(rho) <= 0):
             raise ValueError("radial samples must be non-negative and strictly increasing")
         if np.any(values < 0):
@@ -134,6 +151,9 @@ class QuadratureSpec:
     max_radial_refinements: int = 6
 
     def __post_init__(self):
+        for name in ("angular_points", "radial_rel_tol", "radial_cutoff", "max_radial_refinements"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.angular_points < 64 or self.angular_points % 2:
             raise ValueError("angular_points must be even and >= 64")
         if self.radial_rel_tol < 100 * np.finfo(float).eps:
@@ -188,7 +208,12 @@ class QuadratureOracle:
     Caches the spectra of the radial tables by (p_mag, n, branch), the
     Fourier coefficients of each rotation element by (total, m, n) and, per
     momentum magnitude, the panel-edge and in-panel-offset exponential
-    factors, sharing them across kernel indices and momentum angles.
+    factors, sharing them across kernel indices and momentum angles.  Only
+    plus-branch tables are transformed: the minus-branch spectrum is the
+    plus-branch one conjugated, ``Rf_-[k] = (-1)^k conj(Rf_+[-k])``.
+    ``w_density`` keeps the channel plan of the last ``(state, atom)``: per
+    channel, the rotation harmonics of its kernel amplitudes summed with the
+    state and atom coefficients, so one point is one contraction.
     """
 
     def __init__(
@@ -209,6 +234,7 @@ class QuadratureOracle:
         self._exp_cache: Dict[Tuple[float, int, int], tuple] = {}
         self._edge_cache: Dict[int, np.ndarray] = {}
         self._exp_cache_p: Optional[float] = None
+        self._plan = None
 
     # -- geometry ------------------------------------------------------
 
@@ -242,6 +268,8 @@ class QuadratureOracle:
         ``(P, T)`` edge factor and the ``(L, T)`` offset factor replace the
         ``(P L, T)`` matrix over the half angle grid.  The edges do not depend
         on the rule order, so both companion rules share the edge factor.
+        A rule whose edge factor would exceed ``MAX_RULE_ENTRIES`` entries
+        raises ``AccuracyError`` before anything is allocated.
         """
         if self._exp_cache_p != p_mag:
             self._exp_cache.clear()
@@ -252,6 +280,11 @@ class QuadratureOracle:
         if hit is not None:
             return hit
         n_theta = self.angular_points(p_mag)
+        if n_panels * (n_theta // 2 + 1) > MAX_RULE_ENTRIES:
+            raise AccuracyError(
+                f"radial rule of {n_panels} panels x {n_theta} angles at p = {p_mag:.6g} "
+                f"exceeds {MAX_RULE_ENTRIES} edge-factor entries"
+            )
         theta_half = np.arange(n_theta // 2 + 1) * (_TWO_PI / n_theta)
         nodes, weights = _panel_rule(self._rho_max, n_panels, order)
         amp = weights * nodes * self.profile.density(nodes)
@@ -304,14 +337,25 @@ class QuadratureOracle:
         return self._radial_transform(p_mag, shift, p_mag + abs(shift))
 
     def _radial_spectrum(self, p_mag: float, n: int, branch: int) -> np.ndarray:
-        """``fft(R) / T`` of the radial table, cached by (p_mag, n, branch)."""
-        key = (p_mag, n, 1 if n == 0 else branch)
+        """``fft(R) / T`` of the radial table, cached by (p_mag, n, branch).
+
+        The minus branch is ``(-1)^k conj(Rf_+[-k])`` of the plus spectrum
+        (module docstring), with no transform of its own.
+        """
+        branch = 1 if n == 0 else branch
+        key = (p_mag, n, branch)
         hit = self._radial.get(key)
         if hit is None:
-            table, _ = self._radial_table(p_mag, n, branch)
+            if branch < 0:
+                plus = self._radial_spectrum(p_mag, n, 1)
+                k = np.arange(plus.size)
+                hit = np.where(k % 2, -1.0, 1.0) * np.conj(plus[-k])
+            else:
+                table, _ = self._radial_table(p_mag, n, branch)
+                hit = np.fft.fft(table) / table.size
             if len(self._radial) > 4096:
                 self._radial.clear()
-            hit = self._radial[key] = np.fft.fft(table) / table.size
+            self._radial[key] = hit
         return hit
 
     def _rotation_harmonics(self, total: int, m: int, n: int):
@@ -338,17 +382,45 @@ class QuadratureOracle:
         return complex(dhat @ (np.exp(1j * point.p_ang * k) * spec[-k]))
 
     def w_density(self, state: TwoModeState, atom: AtomState, point: MomentumPoint) -> float:
-        """Momentum density assembled from numeric kernels (oracle route)."""
+        """Momentum density assembled from numeric kernels (oracle route).
+
+        One contraction of the channel plan of ``(state, atom)`` with the
+        radial spectra at ``point.p_mag`` and the phases ``exp(i k p_ang)``.
+        """
+        keys, rows, coeffs, weights, k = self._channel_plan(state, atom)
+        if not keys:
+            return 0.0
+        spectra = np.array([self._radial_spectrum(point.p_mag, n, b)[-k] for n, b in keys])
+        amps = (coeffs * spectra[rows]) @ np.exp(1j * point.p_ang * k)
+        return math.fsum(weights * np.abs(amps) ** 2)
+
+    def _channel_plan(self, state: TwoModeState, atom: AtomState):
+        """``(keys, rows, coeffs, weights, k)``: the channel sum of ``w_density``.
+
+        Every channel amplitude is a sum of kernel amplitudes over one radial
+        table ``(n, branch)``, so it is one row ``coeffs[ch]`` of rotation
+        harmonics on ``k = -K..K`` (``K`` the largest block total, the highest
+        rotation degree), zero-padded, contracted with that table's spectrum.
+        Row ``ch`` reads the spectrum ``keys[rows[ch]]`` and adds
+        ``weights[ch] |amp|^2`` to the density.  The last plan is kept, keyed
+        by ``(state, atom)``.
+        """
+        if self._plan is not None and self._plan[0] == (state, atom):
+            return self._plan[1]
         blocks = state.blocks()
         c_g, c_e = atom.c_g, atom.c_e
-        contributions = []
+        top = state.max_total
+
+        def harmonics(total: int, n_rot: int) -> np.ndarray:
+            row = np.zeros(2 * top + 1, dtype=complex)
+            for m, coeff in blocks[total].items():
+                dhat, _ = self._rotation_harmonics(total, m, n_rot)
+                row[top - total : top + total + 1] += coeff * dhat
+            return row
+
+        channels = []
         if abs(c_g) > 0:
-            for n_field, block in blocks.items():
-                amp = sum(
-                    coeff * self.fourier(KernelIndices(n_field, m, 0, "g", 1), point)
-                    for m, coeff in block.items()
-                )
-                contributions.append(abs(c_g * amp) ** 2)
+            channels += [((0, 1), 1.0, c_g * harmonics(total, 0)) for total in blocks]
         totals = set()
         if abs(c_g) > 0:
             totals |= {n for n in blocks if n >= 1}
@@ -357,20 +429,19 @@ class QuadratureOracle:
         for total in sorted(totals):
             for n in range(1, total + 1):
                 for branch in (1, -1):
-                    g_part = 0j
+                    row = np.zeros(2 * top + 1, dtype=complex)
                     if abs(c_g) > 0 and total in blocks:
-                        g_part = sum(
-                            coeff * self.fourier(KernelIndices(total, m, n, "g", branch), point)
-                            for m, coeff in blocks[total].items()
-                        )
-                    e_part = 0j
+                        row += c_g * harmonics(total, n)
                     if abs(c_e) > 0 and (total - 1) in blocks:
-                        e_part = sum(
-                            coeff * self.fourier(KernelIndices(total, m + 1, n, "e", branch), point)
-                            for m, coeff in blocks[total - 1].items()
-                        )
-                    contributions.append(0.5 * abs(c_g * g_part + branch * c_e * e_part) ** 2)
-        return math.fsum(contributions)
+                        row += branch * c_e * harmonics(total - 1, n - 1)
+                    channels.append(((n, branch), 0.5, row))
+        keys = list(dict.fromkeys(key for key, _, _ in channels))
+        rows = np.array([keys.index(key) for key, _, _ in channels], dtype=int)
+        coeffs = np.array([row for _, _, row in channels])
+        weights = np.array([weight for _, weight, _ in channels])
+        plan = (keys, rows, coeffs, weights, np.arange(-top, top + 1))
+        self._plan = ((state, atom), plan)
+        return plan
 
 
 def fourier_numeric(

@@ -399,3 +399,14 @@ def test_grid_to_csv_matches_per_value_formatter(tmp_path):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "ref.csv").read_bytes()
     assert b",-0\n" in fast and b",4.94065645841e-324\n" in fast
+
+
+def test_cli_numeric_kernel_refuses_oversized_radial_rule(tmp_path):
+    # at lambda 1e4 the rule at p_max would need 16384 panels x 109814 angles
+    spec = write_spec(tmp_path, {**NOON2, "params": {"lambda": 1e4, "k_delta_r": 0.1}})
+    out = tmp_path / "sim"
+    code = run_cli(
+        ["simulate", "--state", spec, "--out", out, "--kernel", "numeric", "--grid", "r:2,phi:4"]
+    )
+    assert code == 3
+    assert not out.exists()

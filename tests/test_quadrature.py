@@ -363,3 +363,131 @@ def test_numeric_grid_cost_independent_of_angle_count(monkeypatch):
         seen.append(dict(counts))
     assert seen[0]["d_coeff"] > 0 and seen[0]["radial_transform"] > 0
     assert seen[0] == seen[1]
+
+
+def test_profile_and_spec_reject_non_finite_values():
+    rho = np.linspace(0.0, 5.0, 50)
+    values = np.exp(-rho)
+    for bad in (math.nan, math.inf, -math.inf):
+        bad_rho = rho.copy()
+        bad_rho[-1] = bad
+        bad_values = values.copy()
+        bad_values[3] = bad
+        with pytest.raises(ValueError):
+            SlitProfile.tabulated(bad_rho, values)
+        with pytest.raises(ValueError):
+            SlitProfile.tabulated(rho, bad_values)
+        for field in ("radial_rel_tol", "radial_cutoff", "max_radial_refinements"):
+            with pytest.raises(ValueError):
+                QuadratureSpec(**{field: bad})
+
+
+def test_oversized_radial_rule_refused_before_allocation():
+    from crosscavity.quadrature import MAX_RULE_ENTRIES, AccuracyError
+
+    oracle = QuadratureOracle(PARAMS)
+    half_angles = oracle.angular_points(50.0) // 2 + 1
+    with pytest.raises(AccuracyError, match="edge-factor entries"):
+        oracle._exp_matrix(50.0, MAX_RULE_ENTRIES // half_angles + 1, 24)
+    with pytest.raises(AccuracyError):
+        oracle._exp_matrix(50.0, 1 << 40, 24)
+
+
+def _per_index_density(oracle, state, atom, point):
+    """Reference: the density as a sum of one ``fourier`` call per kernel index."""
+    blocks = state.blocks()
+    c_g, c_e = atom.c_g, atom.c_e
+    contributions = []
+    if abs(c_g) > 0:
+        for n_field, block in blocks.items():
+            amp = sum(
+                coeff * oracle.fourier(KernelIndices(n_field, m, 0, "g", 1), point)
+                for m, coeff in block.items()
+            )
+            contributions.append(abs(c_g * amp) ** 2)
+    totals = set()
+    if abs(c_g) > 0:
+        totals |= {n for n in blocks if n >= 1}
+    if abs(c_e) > 0:
+        totals |= {n + 1 for n in blocks}
+    for total in sorted(totals):
+        for n in range(1, total + 1):
+            for branch in (1, -1):
+                g_part = 0j
+                if abs(c_g) > 0 and total in blocks:
+                    g_part = sum(
+                        coeff * oracle.fourier(KernelIndices(total, m, n, "g", branch), point)
+                        for m, coeff in blocks[total].items()
+                    )
+                e_part = 0j
+                if abs(c_e) > 0 and (total - 1) in blocks:
+                    e_part = sum(
+                        coeff * oracle.fourier(KernelIndices(total, m + 1, n, "e", branch), point)
+                        for m, coeff in blocks[total - 1].items()
+                    )
+                contributions.append(0.5 * abs(c_g * g_part + branch * c_e * e_part) ** 2)
+    return math.fsum(contributions)
+
+
+@pytest.mark.parametrize("lam", [5.0, 20.0, 100.0])
+@pytest.mark.parametrize("kdr", [0.1, 0.3])
+def test_w_density_matches_per_index_sum(lam, kdr):
+    # the channel plan re-associates the per-index sum; one oracle serves every
+    # (state, atom) pair in turn, so a stale plan would show
+    from crosscavity import TwoModeState, family_state
+
+    oracle = QuadratureOracle(CouplingParams(lam, kdr))
+    mixed = TwoModeState({(0, 0): 0.5, (1, 0): 0.5, (1, 1): 0.5j, (0, 3): -0.5})
+    cases = [
+        (TwoModeState({(0, 0): 1.0}), AtomState.excited()),
+        (mixed, AtomState.normalized(1.0, 0.7 - 0.2j)),
+        (mixed, AtomState.ground()),
+        (noon_state(4), AtomState.excited()),
+        (noon_state(4), AtomState.normalized(0.4j, 1.0)),
+        (family_state(1, 1), AtomState.ground()),
+        (family_state(1, 1), AtomState.normalized(1.0, -0.6)),
+    ]
+    for state, atom in cases:
+        points = [
+            MomentumPoint(p, a) for p in (0.0, lam / 2, lam, 2.2 * lam) for a in (0.0, 1.3, 4.0)
+        ]
+        new = [oracle.w_density(state, atom, pt) for pt in points]
+        ref = [_per_index_density(oracle, state, atom, pt) for pt in points]
+        scale = max(ref)
+        assert scale > 0
+        for pt, a, b in zip(points, new, ref):
+            assert abs(a - b) <= 1e-14 * scale, (state, atom, pt)
+
+
+@pytest.mark.parametrize("lam", [5.0, 100.0])
+@pytest.mark.parametrize("kdr", [0.1, 0.3])
+def test_minus_branch_spectrum_matches_direct_table(lam, kdr):
+    # Rf_-[k] = (-1)^k conj(Rf_+[-k]) against the transform of the minus table
+    oracle = QuadratureOracle(CouplingParams(lam, kdr))
+    for p in (0.0, 0.4 * lam, lam, 1.7 * lam, 3.1 * lam):
+        for n in range(1, 6):
+            derived = oracle._radial_spectrum(p, n, -1)
+            table, _ = oracle._radial_table(p, n, -1)
+            direct = np.fft.fft(table) / table.size
+            k = np.arange(-(n + 1), n + 2)
+            assert derived.shape == direct.shape
+            assert np.max(np.abs(derived[k] - direct[k])) <= 1e-14 * oracle._mass, (p, n)
+
+
+def test_numeric_grid_transforms_plus_branch_only(monkeypatch):
+    # every radial transform is a plus-branch (or n = 0) table: K + 1 per radius
+    # for the deflected totals up to K = 4 of NOON-3 with a superposed atom
+    from crosscavity import GridSpec, w_grid
+
+    calls = []
+    transform = QuadratureOracle._radial_transform
+
+    def counted_transform(self, *args):
+        calls.append(args)
+        return transform(self, *args)
+
+    monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
+    grid = GridSpec(radial_points=4, angular_points=5, p_max=60.0)
+    w_grid(noon_state(3), AtomState.normalized(1.0, 0.5j), PARAMS, grid=grid, kernel="numeric")
+    assert len(calls) == (4 + 1) * grid.radial_points
+    assert all(shift >= 0.0 for _, shift, _ in calls)
