@@ -1,19 +1,15 @@
 """Assembly of the 2D atomic momentum density and ring populations.
 
 The density at dimensionless momentum ``(p, phi)`` is an incoherent sum over
-dressed channels: one undeflected channel per populated photon block when the
-atom has ground amplitude, plus a (+/-) pair per (total excitation N, ladder
-index n).  Each channel amplitude is the kernel transform of
-
-    c_g * sum_m C_{m,N-m} D_{m,n}  +-  c_e * sum_m C_{m-1,N-m} D_{m-1,n-1}
-
-and the density adds ``|.|^2`` ground terms and ``0.5 |.|^2`` dressed terms.
-Channels with different total photon content in the leftover rotated mode are
-orthogonal after the trace, so blocks never interfere: the undeflected ground
-amplitudes of different N are summed as separate ``|.|^2`` terms.  (That
-choice, rather than one coherent sum over N, is what makes the density
-integrate to exactly 1 and the exact ring weights close to 1; it only
-matters for states spreading over several photon blocks.)
+the dressed channels of :func:`~crosscavity.states.dressed_totals`, which
+states the channel model.  Each channel amplitude is the kernel transform of
+its rotated rows, and the density adds ``|.|^2`` undeflected terms and
+``0.5 |.|^2`` dressed terms.  Channels with different total photon content in
+the leftover rotated mode are orthogonal after the trace, so blocks never
+interfere: the undeflected ground amplitudes of different N are summed as
+separate ``|.|^2`` terms.  (That choice, rather than one coherent sum over N,
+is what makes the density integrate to exactly 1 and the exact ring weights
+close to 1; it only matters for states spreading over several photon blocks.)
 
 Each channel amplitude is an angular Fourier series ``sum_w a_w(p) e^{i w
 phi}`` (harmonic table times radial factor), so the density is one too:
@@ -34,6 +30,8 @@ Ring populations come in three estimators:
 ``exact``
     Dressed-channel weights from angle quadrature of the rotation
     coefficients; never touches the Fourier kernels, sums to 1 to rounding.
+    The cross terms of a (+/-) pair cancel in their sum, so ring ``n`` gets
+    ``|a|^2 <|row n of block N|^2> + |b|^2 <|row n-1 of block N-1|^2>``.
     Each weight is the mean of a trigonometric polynomial of degree at most
     ``2 N`` for the largest block total ``N``, so the uniform rule on
     ``2 N + 1`` angles (the default) is exact; fewer are refused.
@@ -68,7 +66,7 @@ from .kernel import (
 )
 from .quadrature import AccuracyError, QuadratureOracle, QuadratureSpec, SlitProfile
 from .rotation import d_matrix_table
-from .states import AtomState, CouplingParams, TwoModeState
+from .states import AtomState, CouplingParams, TwoModeState, dressed_totals
 
 _TWO_PI = 2.0 * math.pi
 
@@ -130,47 +128,34 @@ def default_p_max(state: TwoModeState, params: CouplingParams) -> float:
     return math.sqrt(state.max_total + 1) * params.lam + 10.0 / params.k_delta_r
 
 
-def _deflected_totals(blocks, atom: AtomState) -> List[int]:
-    totals = set()
-    if abs(atom.c_g) > 0:
-        totals |= {n for n in blocks if n >= 1}
-    if abs(atom.c_e) > 0:
-        totals |= {n + 1 for n in blocks}
-    return sorted(totals)
+def _harmonic_row(block: Dict[int, complex], total: int, n: int, top: int) -> np.ndarray:
+    """``sum_m C_m kappa_w(total, m, n)`` on the harmonics ``w = -top..top``."""
+    chi = np.zeros(2 * top + 1, dtype=complex)
+    for m, coeff in block.items():
+        w_vals, kap = harmonic_coefficients(KernelIndices(total, m, n, "g", 1))
+        chi[w_vals + top] += coeff * kap
+    return chi
 
 
 def channel_tables(state: TwoModeState, atom: AtomState) -> List[_Channel]:
-    """Per-channel angular-harmonic coefficient tables for the density sum."""
+    """Per-channel angular-harmonic coefficient tables for the density sum.
+
+    The excited side of a pair reads the ground-channel tables of block
+    ``N - 1``: ``harmonic_coefficients`` of ``(N, m + 1, n, "e")`` and of
+    ``(N - 1, m, n - 1, "g")`` are the same sum.
+    """
     blocks = state.blocks()
-    channels: List[_Channel] = []
-    c_g, c_e = atom.c_g, atom.c_e
-    if abs(c_g) > 0:
-        for n_field, block in blocks.items():
-            chi = np.zeros(2 * n_field + 1, dtype=complex)
-            for m, coeff in block.items():
-                w_vals, kap = harmonic_coefficients(KernelIndices(n_field, m, 0, "g", 1))
-                chi[w_vals + n_field] += coeff * kap
-            chi *= c_g
-            keep = chi != 0
-            w_dense = np.arange(-n_field, n_field + 1)
-            channels.append(_Channel(0, 1, 1.0, w_dense[keep], chi[keep]))
-    for total in _deflected_totals(blocks, atom):
-        for n in range(1, total + 1):
-            chi_g = np.zeros(2 * total + 1, dtype=complex)
-            chi_e = np.zeros(2 * total + 1, dtype=complex)
-            if abs(c_g) > 0 and total in blocks:
-                for m, coeff in blocks[total].items():
-                    w_vals, kap = harmonic_coefficients(KernelIndices(total, m, n, "g", 1))
-                    chi_g[w_vals + total] += coeff * kap
-            if abs(c_e) > 0 and (total - 1) in blocks:
-                for m, coeff in blocks[total - 1].items():
-                    w_vals, kap = harmonic_coefficients(KernelIndices(total, m + 1, n, "e", 1))
-                    chi_e[w_vals + total] += coeff * kap
-            w_dense = np.arange(-total, total + 1)
-            for branch in (1, -1):
-                chi = c_g * chi_g + branch * c_e * chi_e
-                keep = chi != 0
-                channels.append(_Channel(n, branch, 0.5, w_dense[keep], chi[keep]))
+    totals = dressed_totals(state, atom)
+    tables = [(0, 1, 1.0, N, a * _harmonic_row(blocks[N], N, 0, N)) for N, a, _ in totals if a]
+    for N, a, b in totals:
+        for n in range(1, N + 1):
+            ground = a * _harmonic_row(blocks[N], N, n, N) if a else 0.0
+            excited = b * _harmonic_row(blocks[N - 1], N - 1, n - 1, N) if b else 0.0
+            tables += [(n, branch, 0.5, N, ground + branch * excited) for branch in (1, -1)]
+    channels = []
+    for n, branch, weight, top, chi in tables:
+        keep = chi != 0
+        channels.append(_Channel(n, branch, weight, np.arange(-top, top + 1)[keep], chi[keep]))
     return channels
 
 
@@ -259,7 +244,7 @@ def w_grid(
     phi = np.arange(grid.angular_points) * (_TWO_PI / grid.angular_points)
     warnings: List[str] = []
 
-    n_top = state.max_total + (1 if abs(atom.c_e) > 0 else 0)
+    n_top = _n_max(state, atom)
     if n_top >= 1:
         step = p[1] - p[0]
         limit = (math.sqrt(n_top + 1) - math.sqrt(n_top)) * params.lam / 4.0
@@ -311,7 +296,8 @@ def total_probability(grid: MomentumGrid) -> float:
 
 
 def _n_max(state: TwoModeState, atom: AtomState) -> int:
-    return state.max_total + (1 if abs(atom.c_e) > 0 else 0)
+    """Outermost ring: the largest dressed total."""
+    return max((N for N, _, _ in dressed_totals(state, atom)), default=0)
 
 
 def _overlap_warning(params: CouplingParams, n_max: int) -> Optional[str]:
@@ -371,36 +357,20 @@ def _populations_exact(
             f"theta_points={theta_points} must exceed twice the largest block total ({top})"
         )
     thetas = np.arange(theta_points) * (_TWO_PI / theta_points)
-    c_g, c_e = atom.c_g, atom.c_e
-    # amps[N][n] = sum_m C_m d[m, n](theta) over the block's support
-    amps = {
-        n_field: np.tensordot(
-            np.array(list(block.values())), d_matrix_table(n_field, thetas)[list(block)], axes=1
-        )
-        for n_field, block in blocks.items()
-    }
-    n_max = _n_max(state, atom)
-
-    p0_terms: List[float] = []
-    ring_terms: Dict[int, List[float]] = {n: [] for n in range(1, n_max + 1)}
-    if abs(c_g) > 0:
-        for amp in amps.values():
-            p0_terms.append(abs(c_g) ** 2 * float(np.mean(np.abs(amp[0]) ** 2)))
-
-    for total in _deflected_totals(blocks, atom):
-        # rows n = 1..total; a missing side contributes nothing
-        a_amp = amps[total][1:] if abs(c_g) > 0 and total in blocks else 0.0
-        b_amp = amps[total - 1] if abs(c_e) > 0 and (total - 1) in blocks else 0.0
-        plus = np.mean(np.abs(c_g * a_amp + c_e * b_amp) ** 2, axis=-1)
-        minus = np.mean(np.abs(c_g * a_amp - c_e * b_amp) ** 2, axis=-1)
-        for n in range(1, total + 1):
-            ring_terms[n].append(0.5 * float(plus[n - 1]) + 0.5 * float(minus[n - 1]))
-
-    entries = []
-    if abs(c_g) > 0:
-        entries.append(SpectrumEntry(0, math.fsum(p0_terms), "exact"))
-    for n in range(1, n_max + 1):
-        entries.append(SpectrumEntry(n, math.fsum(ring_terms[n]), "exact"))
+    # means[N][n]: angular mean of |row n|^2, row n = sum_m C_m d[m, n](theta)
+    means = {}
+    for n_field, block in blocks.items():
+        table = d_matrix_table(n_field, thetas)[list(block)]
+        rows = np.tensordot(np.array(list(block.values())), table, axes=1)
+        means[n_field] = np.mean(np.abs(rows) ** 2, axis=-1)
+    # |a|^2 <|row n of block N|^2> on rings 0..N, |b|^2 <|row n-1 of block N-1|^2> on rings 1..N
+    rings: Dict[int, List[float]] = {}
+    for N, a, b in dressed_totals(state, atom):
+        for first, factor, block in ((0, a, N), (1, b, N - 1)):
+            if factor:
+                for n, mean in enumerate(abs(factor) ** 2 * means[block], start=first):
+                    rings.setdefault(n, []).append(float(mean))
+    entries = [SpectrumEntry(n, math.fsum(rings[n]), "exact") for n in sorted(rings)]
     closure = math.fsum(e.p for e in entries)
     if abs(closure - 1.0) > 1e-10:
         raise RuntimeError(f"exact ring weights sum to {closure!r}, expected 1")

@@ -133,17 +133,21 @@ def parse_state_spec(text) -> ParsedSpec:
                 raise StateSpecError(f"amplitudes[{k}] must be an object")
             _require_keys(entry, {"m", "n", "re", "im"}, f"amplitudes[{k}]")
             m, n = entry.get("m"), entry.get("n")
-            if not isinstance(m, int) or not isinstance(n, int) or m < 0 or n < 0:
+            if any(isinstance(i, bool) or not isinstance(i, int) for i in (m, n)) or m < 0 or n < 0:
                 raise StateSpecError(f"amplitudes[{k}]: m, n must be non-negative integers")
             if (m, n) in amps:
                 raise StateSpecError(f"amplitudes[{k}]: duplicate entry for ({m}, {n})")
-            amps[(m, n)] = complex(float(entry.get("re", 0.0)), float(entry.get("im", 0.0)))
+            parts = {part: entry[part] for part in ("re", "im") if part in entry}
+            amps[(m, n)] = _complex_field(parts, f"amplitudes[{k}]")
         try:
             raw_state = TwoModeState(amps)
         except InvalidStateError as exc:
             raise StateSpecError(str(exc)) from None
 
-    norm2 = raw_state.norm_squared()
+    try:
+        norm2 = raw_state.norm_squared()
+    except OverflowError:
+        raise StateSpecError("state norm overflows a float") from None
     if norm2 == 0.0:
         raise StateSpecError("state spec has zero norm")
     try:

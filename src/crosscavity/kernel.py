@@ -45,7 +45,6 @@ import numpy as np
 
 from .rotation import dbar
 from .states import SUPPORT_CAP, CouplingParams
-from .summation import KahanSum
 
 _TWO_PI_SQRT = math.sqrt(2.0 * math.pi)
 _FACT = [math.factorial(k) for k in range(2 * SUPPORT_CAP + 4)]
@@ -259,10 +258,7 @@ def fourier_analytic(
     g = gamma(idx.n, params, idx.branch)
     radial = mode_radial_table(np.abs(w_values), np.array([point.p_mag]), g, params.k_delta_r)[:, 0]
     phases = np.exp(1j * w_values * point.p_ang)
-    acc = KahanSum()
-    for term in coeffs * phases * radial:
-        acc.add(term)
-    return acc.value()
+    return complex(np.sum(coeffs * phases * radial))
 
 
 def fourier_analytic_direct(
@@ -271,15 +267,15 @@ def fourier_analytic_direct(
     """Literal term-by-term triple sum; every (ell, s, t) term is evaluated.
 
     Validation-mode twin of :func:`fourier_analytic`; no grouping, no caching,
-    Kahan accumulation only.
+    correctly rounded (``math.fsum``) accumulation of each component.
     """
     d, lo, hi = _sum_ranges(idx)
-    acc = KahanSum()
+    terms = []
     for ell in range(lo, hi + 1):
         u = idx.m + idx.n - 2 * ell
         for s in range(0, idx.total - u + d + 1):
             for t in range(0, u - 2 * d + 1):
                 w = 2 * (s + t) - idx.total + d
                 prefactor = (1j * cmath.exp(1j * point.p_ang)) ** w
-                acc.add(prefactor * r_factor(idx, ell, s, t) * s_factor(idx, s, t, point.p_mag, params))
-    return acc.value()
+                terms.append(prefactor * r_factor(idx, ell, s, t) * s_factor(idx, s, t, point.p_mag, params))
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))

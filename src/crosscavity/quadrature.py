@@ -51,7 +51,7 @@ import numpy as np
 
 from .kernel import KernelIndices, MomentumPoint
 from .rotation import d_coeff
-from .states import AtomState, CouplingParams, TwoModeState
+from .states import AtomState, CouplingParams, TwoModeState, dressed_totals
 
 _TWO_PI = 2.0 * math.pi
 
@@ -397,6 +397,7 @@ class QuadratureOracle:
     def _channel_plan(self, state: TwoModeState, atom: AtomState):
         """``(keys, rows, coeffs, weights, k)``: the channel sum of ``w_density``.
 
+        The channels are those of :func:`~crosscavity.states.dressed_totals`.
         Every channel amplitude is a sum of kernel amplitudes over one radial
         table ``(n, branch)``, so it is one row ``coeffs[ch]`` of rotation
         harmonics on ``k = -K..K`` (``K`` the largest block total, the highest
@@ -408,7 +409,6 @@ class QuadratureOracle:
         if self._plan is not None and self._plan[0] == (state, atom):
             return self._plan[1]
         blocks = state.blocks()
-        c_g, c_e = atom.c_g, atom.c_e
         top = state.max_total
 
         def harmonics(total: int, n_rot: int) -> np.ndarray:
@@ -418,23 +418,13 @@ class QuadratureOracle:
                 row[top - total : top + total + 1] += coeff * dhat
             return row
 
-        channels = []
-        if abs(c_g) > 0:
-            channels += [((0, 1), 1.0, c_g * harmonics(total, 0)) for total in blocks]
-        totals = set()
-        if abs(c_g) > 0:
-            totals |= {n for n in blocks if n >= 1}
-        if abs(c_e) > 0:
-            totals |= {n + 1 for n in blocks}
-        for total in sorted(totals):
-            for n in range(1, total + 1):
-                for branch in (1, -1):
-                    row = np.zeros(2 * top + 1, dtype=complex)
-                    if abs(c_g) > 0 and total in blocks:
-                        row += c_g * harmonics(total, n)
-                    if abs(c_e) > 0 and (total - 1) in blocks:
-                        row += branch * c_e * harmonics(total - 1, n - 1)
-                    channels.append(((n, branch), 0.5, row))
+        totals = dressed_totals(state, atom)
+        channels = [((0, 1), 1.0, a * harmonics(N, 0)) for N, a, _ in totals if a]
+        for N, a, b in totals:
+            for n in range(1, N + 1):
+                ground = a * harmonics(N, n) if a else 0.0
+                excited = b * harmonics(N - 1, n - 1) if b else 0.0
+                channels += [((n, branch), 0.5, ground + branch * excited) for branch in (1, -1)]
         keys = list(dict.fromkeys(key for key, _, _ in channels))
         rows = np.array([keys.index(key) for key, _, _ in channels], dtype=int)
         coeffs = np.array([row for _, _, row in channels])

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 SUPPORT_CAP = 32
 PRUNE_THRESHOLD = 1e-15
@@ -53,7 +53,7 @@ class TwoModeState:
                 m, n = key
             except (TypeError, ValueError):
                 raise InvalidStateError(f"amplitude key {key!r} is not an (m, n) pair")
-            if not (isinstance(m, int) and isinstance(n, int)) or m < 0 or n < 0:
+            if any(isinstance(i, bool) or not isinstance(i, int) for i in (m, n)) or m < 0 or n < 0:
                 raise InvalidStateError(f"photon indices must be non-negative integers, got {key!r}")
             c = complex(value)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
@@ -124,6 +124,35 @@ class AtomState:
         if norm == 0.0:
             raise InvalidStateError("atomic state has zero norm")
         return cls(complex(c_g) / norm, complex(c_e) / norm)
+
+
+def dressed_totals(state: TwoModeState, atom: AtomState) -> List[Tuple[int, complex, complex]]:
+    """The dressed-channel model: ``[(N, a, b), ...]`` ascending in total ``N``.
+
+    After the interaction the atom's momentum density is an incoherent sum of
+    dressed channels.  Total ``N`` counts atom plus field excitations; ``a``
+    is ``c_g`` when photon block ``N`` is populated and ``b`` is ``c_e`` when
+    block ``N - 1`` is, each 0 otherwise, and totals with both 0 are absent.
+    A total with ``a != 0`` has one undeflected channel, weight 1, carrying
+    ``a`` times rotated row 0 of block ``N``.  Each ladder index
+    ``n = 1..N`` has a (+/-) pair, weight 1/2 each, carrying
+
+        a * (row n of block N)  +-  b * (row n - 1 of block N - 1)
+
+    on ring ``n``, deflected by ``+-sqrt(n) lam``.  Row ``n`` of block ``N``
+    is ``sum_m C_{m, N-m} D_{m, n}(theta)``, a function of the block rotation
+    angle; a side whose factor is 0 contributes nothing.
+    """
+    blocks = state.blocks()
+    totals = set()
+    if abs(atom.c_g) > 0:
+        totals |= set(blocks)
+    if abs(atom.c_e) > 0:
+        totals |= {n + 1 for n in blocks}
+    return [
+        (n, atom.c_g if n in blocks else 0j, atom.c_e if n - 1 in blocks else 0j)
+        for n in sorted(totals)
+    ]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,51 @@
+"""The benchmark's tracer must find every function it wraps.
+
+``perfbench/tracing.py`` looks traced functions up by name, so renaming one
+breaks the benchmark; this test runs its install/remove cycle against the
+package.
+"""
+
+import importlib
+from pathlib import Path
+
+from crosscavity import AtomState, CouplingParams, GridSpec, distribution, noon_state
+from crosscavity.quadrature import QuadratureOracle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+MODULES = ("cli", "detect", "distribution", "io", "kernel", "quadrature", "rotation", "validation")
+
+
+def _bindings():
+    modules = [importlib.import_module(f"crosscavity.{name}") for name in MODULES]
+    modules.append(importlib.import_module("crosscavity"))
+    out = {(mod.__name__, key): value for mod in modules for key, value in vars(mod).items()}
+    out.update({("QuadratureOracle", key): value for key, value in vars(QuadratureOracle).items()})
+    return out
+
+
+def test_tracer_wraps_every_hook_and_restores_the_originals(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    before = _bindings()
+    tracer = Tracer()
+    try:
+        tracer.install()  # getattr on every traced name
+        assert tracer._restore
+        for owner, attr, original in tracer._restore:
+            assert getattr(owner, attr).__wrapped__ is original
+        # through the module, whose bindings the tracer replaces
+        distribution.w_grid(noon_state(2), AtomState.excited(), CouplingParams(20.0, 0.1), GridSpec(4, 8))
+    finally:
+        tracer.remove()
+    names = {span[0] for span in tracer.spans}
+    for name in (
+        "distribution.w_grid",
+        "distribution.channel_tables",
+        "kernel.harmonic_coefficients",
+        "kernel.mode_radial_table",
+    ):
+        assert name in names
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

@@ -74,6 +74,14 @@ def test_parse_rejections():
         ),
         (json.dumps({"builder": NOON2["builder"]}), "params"),
     ]
+    for entry, fragment in (
+        ({"m": 1, "n": 0, "re": [1]}, "non-numeric"),
+        ({"m": 1, "n": 0, "re": None}, "non-numeric"),
+        ({"m": 1, "n": 0, "re": "abc"}, "non-numeric"),
+        ({"m": True, "n": 0, "re": 1}, "non-negative integers"),
+        ({"m": 1, "n": 0, "re": 1e300, "im": 1e300}, "overflows"),
+    ):
+        bad.append((json.dumps({"amplitudes": [entry], "params": NOON2["params"]}), fragment))
     for text, fragment in bad:
         with pytest.raises(StateSpecError) as err:
             parse_state_spec(text)
@@ -298,6 +306,10 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert run_cli(["detect", "--state", bad, "--out", tmp_path / "o"]) == 2
     missing = tmp_path / "missing.json"
     assert run_cli(["detect", "--state", missing, "--out", tmp_path / "o"]) == 2
+    # JSON true is a Python int, but not a photon number
+    doc = {"amplitudes": [{"m": True, "n": 0, "re": 1}], "params": NOON2["params"]}
+    assert run_cli(["detect", "--state", write_spec(tmp_path, doc), "--out", tmp_path / "b"]) == 2
+    assert not (tmp_path / "b").exists()
 
 
 def test_cli_validate_small():

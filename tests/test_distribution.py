@@ -12,6 +12,7 @@ from crosscavity import (
     TwoModeState,
     family_state,
     fourier_analytic,
+    harmonic_coefficients,
     mode_swap,
     noon_state,
     normalize,
@@ -238,6 +239,60 @@ def density_table_loop(channels, p, phi, params):
             amp += (ch.chi[k] * radial[k])[:, None] * np.exp(1j * w * phi)[None, :]
         dens += ch.weight * (amp.real**2 + amp.imag**2)
     return dens
+
+
+def channel_tables_reference(state, atom):
+    """The channel enumeration written out per atomic side, excited tables included."""
+    blocks = state.blocks()
+    channels = []
+    c_g, c_e = atom.c_g, atom.c_e
+    if abs(c_g) > 0:
+        for n_field, block in blocks.items():
+            chi = np.zeros(2 * n_field + 1, dtype=complex)
+            for m, coeff in block.items():
+                w_vals, kap = harmonic_coefficients(KernelIndices(n_field, m, 0, "g", 1))
+                chi[w_vals + n_field] += coeff * kap
+            chi *= c_g
+            keep = chi != 0
+            channels.append((0, 1, 1.0, np.arange(-n_field, n_field + 1)[keep], chi[keep]))
+    totals = set()
+    if abs(c_g) > 0:
+        totals |= {n for n in blocks if n >= 1}
+    if abs(c_e) > 0:
+        totals |= {n + 1 for n in blocks}
+    for total in sorted(totals):
+        for n in range(1, total + 1):
+            chi_g = np.zeros(2 * total + 1, dtype=complex)
+            chi_e = np.zeros(2 * total + 1, dtype=complex)
+            if abs(c_g) > 0 and total in blocks:
+                for m, coeff in blocks[total].items():
+                    w_vals, kap = harmonic_coefficients(KernelIndices(total, m, n, "g", 1))
+                    chi_g[w_vals + total] += coeff * kap
+            if abs(c_e) > 0 and (total - 1) in blocks:
+                for m, coeff in blocks[total - 1].items():
+                    w_vals, kap = harmonic_coefficients(KernelIndices(total, m + 1, n, "e", 1))
+                    chi_e[w_vals + total] += coeff * kap
+            for branch in (1, -1):
+                chi = c_g * chi_g + branch * c_e * chi_e
+                keep = chi != 0
+                channels.append((n, branch, 0.5, np.arange(-total, total + 1)[keep], chi[keep]))
+    return channels
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [AtomState.ground(), EXCITED, AtomState.normalized(0.6, 0.8j)],
+    ids=["ground", "excited", "superposed"],
+)
+def test_channel_tables_match_reference_enumeration(atom):
+    state = normalize(TwoModeState({(0, 0): 0.3, (1, 0): 0.5, (0, 1): -0.4j, (2, 1): 0.6, (0, 3): 0.2}))
+    channels = channel_tables(state, atom)
+    reference = channel_tables_reference(state, atom)
+    assert len(channels) == len(reference)
+    for ch, (n, branch, weight, w_values, chi) in zip(channels, reference):
+        assert (ch.n, ch.branch, ch.weight) == (n, branch, weight)
+        assert np.array_equal(ch.w_values, w_values)
+        assert np.array_equal(ch.chi, chi)
 
 
 @pytest.mark.parametrize(

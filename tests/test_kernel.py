@@ -197,6 +197,18 @@ def test_harmonics_match_fft_of_rotation_element():
                 assert abs(series[w % size]) < 1e-12
 
 
+def test_excited_harmonics_equal_ground_harmonics_of_lower_block():
+    # (N, m, n, "e") shifts every block index down by one: its triple sum is
+    # term for term that of (N - 1, m - 1, n - 1, "g"), so the tables agree bit for bit
+    for total in range(1, 9):
+        for m in range(1, total + 1):
+            for n in range(1, total + 1):
+                w_e, kap_e = harmonic_coefficients(KernelIndices(total, m, n, "e", 1))
+                w_g, kap_g = harmonic_coefficients(KernelIndices(total - 1, m - 1, n - 1, "g", 1))
+                assert w_e.tobytes() == w_g.tobytes()
+                assert kap_e.tobytes() == kap_g.tobytes()
+
+
 def test_fourier_phase_periodicity():
     idx = KernelIndices(2, 1, 1, "e", 1)
     pt1 = MomentumPoint(25.0, 0.4)

@@ -15,6 +15,7 @@ from crosscavity import (
     one_photon_state,
     two_photon_state,
 )
+from crosscavity.states import dressed_totals
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -192,3 +193,34 @@ def test_blocks_grouping():
     assert set(blocks) == {1, 3}
     assert set(blocks[1]) == {0, 1}
     assert set(blocks[3]) == {2}
+
+
+def test_state_rejects_bool_photon_indices():
+    for key in ((True, 0), (0, False)):
+        with pytest.raises(InvalidStateError):
+            TwoModeState({key: 1.0})
+
+
+def test_dressed_totals_vacuum_with_ground_atom():
+    vacuum = TwoModeState({(0, 0): 1.0})
+    assert dressed_totals(vacuum, AtomState.ground()) == [(0, 1 + 0j, 0j)]
+    assert dressed_totals(vacuum, AtomState.excited()) == [(1, 0j, 1 + 0j)]
+
+
+def test_dressed_totals_excited_atom_shifts_every_block():
+    state = normalize(TwoModeState({(1, 0): 1.0, (2, 1): 1.0}))
+    assert dressed_totals(state, AtomState.excited()) == [(2, 0j, 1 + 0j), (4, 0j, 1 + 0j)]
+
+
+def test_dressed_totals_superposed_atom_on_multiblock_state():
+    state = normalize(TwoModeState({(0, 0): 1.0, (1, 0): 1.0, (2, 1): 1.0}))
+    atom = AtomState.normalized(0.6, 0.8j)
+    c_g, c_e = atom.c_g, atom.c_e
+    # blocks 0, 1, 3: ground totals 0, 1, 3; excited totals 1, 2, 4
+    assert dressed_totals(state, atom) == [
+        (0, c_g, 0j),
+        (1, c_g, c_e),
+        (2, 0j, c_e),
+        (3, c_g, 0j),
+        (4, 0j, c_e),
+    ]
