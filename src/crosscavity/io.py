@@ -144,10 +144,9 @@ def parse_state_spec(text) -> ParsedSpec:
         except InvalidStateError as exc:
             raise StateSpecError(str(exc)) from None
 
-    try:
-        norm2 = raw_state.norm_squared()
-    except OverflowError:
-        raise StateSpecError("state norm overflows a float") from None
+    norm2 = raw_state.norm_squared()
+    if norm2 == math.inf:
+        raise StateSpecError("squared norm overflows a float")
     if norm2 == 0.0:
         raise StateSpecError("state spec has zero norm")
     try:

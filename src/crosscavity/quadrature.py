@@ -1,43 +1,63 @@
 """Direct 2D quadrature of the momentum-space kernel (validation oracle).
 
 Evaluates the defining polar integral of each kernel amplitude with no use
-of the closed form: the angle integral by a uniform trapezoid rule
-(spectrally accurate for smooth periodic integrands, with the node count
-raised automatically to cover the ``exp(-i rho p cos theta)`` bandwidth),
-the radial integral by Gauss-Legendre panels sized to put >= 8 nodes per
-oscillation period, with a lower-order companion rule supplying an error
-estimate and panel doubling on failure.  Works for arbitrary slit profiles,
-not just the exponential one the closed form requires.
+of the closed form.  The inner integrand factorizes as
+``exp(i rho s) exp(-i rho p cos theta)`` with ``s = branch sqrt(n) lam``, and
+the Jacobi-Anger expansion ``exp(-i z cos theta) = sum_k (-i)^k J_k(z)
+exp(i k theta)`` turns the angle integral into Bessel functions: harmonic
+``k`` of the radial table ``R(theta) = Int rho g exp(i rho s) exp(-i rho p cos
+theta) drho`` is
 
-The inner integrand factorizes as ``exp(-i rho p cos theta) exp(i rho s)``
-with ``s = branch sqrt(n) lam``, so the ``exp(-i rho c)`` factors, with
-``c = p cos theta``, built once per momentum magnitude serve every dressed
-channel.  Each Gauss-Legendre node is a panel edge plus an in-panel offset,
-``rho = e_j + o_l``, so those factors are never formed node by node: a
-P-panel, L-node rule keeps the edge factor ``exp(-i e_j c)`` (P rows) and the
-offset factor ``exp(-i o_l c)`` (L rows), and one transform is a matrix
-product with the offset factor followed by an edge-weighted column sum.
+    Rf[k] = (-i)^k Int rho g(rho) exp(i rho s) J_k(rho p) drho,
 
-The angle integral is the trapezoid sum ``(1/T) sum_t d(theta_t + phi) R_t``
-with ``theta_t = 2 pi t / T``, rotation element ``d`` and radial table ``R``.
-``d`` is a trigonometric polynomial of degree ``N <= total < T``, so with
-``d(theta) = sum_{|k|<=N} dhat_k exp(i k theta)`` and ``Rf = fft(R) / T`` the
-sum equals ``sum_k dhat_k exp(i k phi) Rf[-k mod T]`` exactly, whatever ``R``
-holds.  :class:`QuadratureOracle` therefore keeps ``Rf`` per radial table and
-the ``2N+1`` coefficients ``dhat`` per rotation index, sampled from
-``d_coeff`` on ``2N+1`` angles, and each amplitude is one short contraction,
-which makes full validation batteries tractable.
+with ``Rf[-k] = Rf[k]`` because ``J_{-k} = (-1)^k J_k``.  Only the harmonics
+``|k| <= K`` that a rotation element of degree ``K`` reads are computed, by
+Gauss-Legendre panels sized to put >= 8 nodes per oscillation period (Guizar-
+Sicairos and Gutierrez-Vega, JOSA A 21, 53 (2004), use the same expansion for
+Hankel transforms).  Works for arbitrary slit profiles, not just the
+exponential one the closed form requires.
+
+:func:`bessel_j` gives ``J_0..J_K`` with numpy alone: Hankel's asymptotic
+P/Q series for ``J_0`` and ``J_1`` plus forward recurrence for ``x >=
+max(25, K)`` (Abramowitz and Stegun 9.2.5), Miller's backward recurrence below
+(A&S 9.12), written as the continued fraction ``r_k = J_k / J_{k-1} = x / (2k -
+x r_{k+1})`` so that nothing overflows, and normalized by ``J_0 + 2 sum_k
+J_{2k} = 1``.  Arguments are taken in fixed-size chunks, so the
+recurrence's ratio rows stay a few MiB whatever the size of the rule.
+
+Each panel count and Gauss-Legendre order keeps its nodes and amplitudes
+``w rho g(rho)``; each rule at momentum ``p`` adds the rows ``J_k(rho p)``
+and the factors of ``exp(-i rho p cos theta)`` at a few check angles.  One
+transform is a product of these rows with ``amp exp(i rho s)``.  The error
+estimate compares the order-24 rule with its order-12 companion at the check
+angles, and the panel count doubles until it meets the radial tolerance.
+For the exponential profile the check angles are ``theta = 0`` and ``pi``,
+where ``|p cos theta - s|`` is largest and the integrand oscillates fastest;
+a tabulated profile, whose kinks leave errors that need not grow with that
+frequency, is checked on a half angle grid that resolves its bandwidth.  The
+estimate never looks at the harmonics, so the accepted rule does not depend
+on how many of them a caller reads.  Harmonics are computed to a reach of
+``4 2^j >= K`` and cached per reach, so a value depends only on the call
+signature, never on evaluation order.
+
+The angle integral of a kernel amplitude is ``(1/2 pi) Int d(theta + phi)
+R(theta) dtheta`` with rotation element ``d``, a trigonometric polynomial of
+degree ``N = total``; with ``d(theta) = sum_{|k|<=N} dhat_k exp(i k theta)`` it
+equals ``sum_k dhat_k exp(i k phi) Rf[-k]``.  :class:`QuadratureOracle` keeps
+the spectra per radial table and the ``2N+1`` coefficients ``dhat`` per
+rotation index, sampled from ``d_coeff`` on ``2N+1`` angles, and each
+amplitude is one short contraction, which makes full validation batteries
+tractable.
 
 Two more exact identities serve the density.  Every channel amplitude of
 ``w_density`` is a fixed linear combination of kernel amplitudes on one
 radial table, so its harmonic coefficients combine once per ``(state,
-atom)`` into one row of a channel plan, and each momentum point is one
-contraction of that plan with the radial spectra.  And since ``g`` is real
-and ``cos(theta + pi) = -cos(theta)``, the minus-branch table is
-``R_-(theta) = conj(R_+(theta + pi))``; on the even angle grid its spectrum is
-``Rf_-[k] = (-1)^k conj(Rf_+[-k])``, so only plus-branch tables are
-transformed.  Results depend only on the call signature, never on
-evaluation order.
+atom)`` into one row of a channel plan; multiplied by the spectra at one
+momentum magnitude, the plan gives a channel x harmonic matrix that every
+angle of that radius reuses.  And since ``g`` is real and ``cos(theta + pi)
+= -cos(theta)``, the minus-branch table is ``R_-(theta) = conj(R_+(theta +
+pi))``, whose spectrum is ``Rf_-[k] = (-1)^k conj(Rf_+[k])``, so only
+plus-branch tables are transformed.
 """
 
 from __future__ import annotations
@@ -55,10 +75,23 @@ from .states import AtomState, CouplingParams, TwoModeState, dressed_totals
 
 _TWO_PI = 2.0 * math.pi
 
-# Largest edge factor ``exp(-i e_j c)`` (panels x half-grid angles) one radial
-# rule may hold: 2**24 complex entries, 256 MiB.  The test suite's largest rule
-# has 3.9e6 entries (1024 panels x 7624 angles at lam = 100, p = 400).
+# Largest radial transform, in float64 entries of the arrays it holds at once:
+# per node, the Bessel rows J_0..J_reach and _NODE_WORK rows of nodes,
+# amplitudes and phases (kept for every panel count tried); per panel and
+# check angle, _ANGLE_WORK for the complex edge factors; and the Bessel
+# routine's chunk scratch.  2**24 entries take 128 MiB.
 MAX_RULE_ENTRIES = 1 << 24
+_NODE_WORK = 10
+_ANGLE_WORK = 6
+
+# Hankel's expansion serves x >= 25: eight terms of each series reach the
+# double-precision floor there.
+_HANKEL_X = 25.0
+_HANKEL_TERMS = 8
+
+# bessel_j takes its arguments this many at a time: Miller's recurrence keeps
+# ~kmax + 60 rows per argument, a few MiB per chunk whatever the rule size.
+_BESSEL_CHUNK = 1 << 12
 
 
 class AccuracyError(RuntimeError):
@@ -145,17 +178,14 @@ class SlitProfile:
 class QuadratureSpec:
     """Knobs of the oracle quadrature (defaults cover the test battery)."""
 
-    angular_points: int = 512
     radial_rel_tol: float = 1e-9
     radial_cutoff: float = 40.0
     max_radial_refinements: int = 6
 
     def __post_init__(self):
-        for name in ("angular_points", "radial_rel_tol", "radial_cutoff", "max_radial_refinements"):
+        for name in ("radial_rel_tol", "radial_cutoff", "max_radial_refinements"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.angular_points < 64 or self.angular_points % 2:
-            raise ValueError("angular_points must be even and >= 64")
         if self.radial_rel_tol < 100 * np.finfo(float).eps:
             raise ValueError("radial tolerance below 100 * machine epsilon")
         if self.radial_cutoff <= 0 or self.max_radial_refinements < 0:
@@ -202,18 +232,136 @@ def _panel_rule(rho_max: float, n_panels: int, order: int):
     return nodes, weights
 
 
+def _hankel_series(nu: int):
+    """Coefficients of Hankel's P and Q in powers of ``1/x^2`` (A&S 9.2.9, 9.2.10)."""
+    mu = 4.0 * nu * nu
+    a = [1.0]
+    for k in range(1, 2 * _HANKEL_TERMS):
+        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k))
+    return [[(-1) ** j * a[2 * j + odd] for j in range(_HANKEL_TERMS)] for odd in (0, 1)]
+
+
+# (power of 1/x^2, series P_0 P_1 Q_0 Q_1, broadcast axis)
+_HANKEL = np.array([_hankel_series(0), _hankel_series(1)]).transpose(2, 1, 0).reshape(_HANKEL_TERMS, 4, 1)
+
+
+def _bessel_hankel(kmax: int, x: np.ndarray) -> np.ndarray:
+    """``J_0..J_kmax`` for ``x >= max(25, kmax)``: Hankel's ``J_0``, ``J_1``, then forward recurrence.
+
+    ``J_nu = (P cos chi - Q sin chi) sqrt(2 / (pi x))`` with ``chi = x - (2 nu +
+    1) pi / 4`` (A&S 9.2.5); ``cos chi`` and ``sin chi`` are taken as sums of
+    ``cos x`` and ``sin x`` so that no rounded phase enters.
+    """
+    inv = 1.0 / x
+    y = inv * inv
+    series = _HANKEL[-1] * y  # Horner in y for P_0, P_1, Q_0, Q_1 at once
+    for coeff in _HANKEL[-2:0:-1]:
+        series += coeff
+        series *= y
+    series += _HANKEL[0]
+    p0, p1 = series[:2]
+    q0, q1 = series[2:] * inv
+    cos, sin = np.cos(x), np.sin(x)
+    plus, minus = sin + cos, sin - cos
+    scale = 1.0 / np.sqrt(math.pi * x)
+    out = np.empty((kmax + 1, x.size))
+    out[0] = scale * (p0 * plus - q0 * minus)
+    if kmax:
+        out[1] = scale * (p1 * minus + q1 * plus)
+    for k in range(1, kmax):
+        np.multiply(2.0 * k * inv, out[k], out=out[k + 1])
+        out[k + 1] -= out[k - 1]
+    return out
+
+
+def _bessel_miller(kmax: int, x: np.ndarray) -> np.ndarray:
+    """``J_0..J_kmax`` by Miller's backward recurrence of the ratios ``r_k = J_k / J_{k-1}``.
+
+    ``r_k = x / (2k - x r_{k+1})`` runs down from ``r = 0`` at an order well
+    past ``max(x, kmax)``, as ``x r_k = x^2 / (2k - x r_{k+1})``; the products
+    ``r_1 ... r_k = J_k / J_0`` stay below ``1 / |J_0|``, and ``1 = J_0 (1 + 2
+    sum_m J_{2m} / J_0)`` fixes ``J_0``.  A denominator that rounds to exactly
+    zero (``x`` within an ulp of a zero of ``J_{k-1}``) leaves an infinite
+    ratio; those ``x`` are moved by one ulp.
+    """
+    start = _miller_start(max(float(kmax), float(np.max(x))))
+    ratios = np.zeros((start + 2, x.size))  # row k holds x r_k, then r_k; row start + 1 stays 0
+    square = x * x
+    den = np.empty_like(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(start, 0, -1):
+            np.subtract(2.0 * k, ratios[k + 1], out=den)
+            np.divide(square, den, out=ratios[k])
+        np.divide(ratios, x, out=ratios, where=x > 0.0)
+        ratios[0] = 1.0
+        np.cumprod(ratios, axis=0, out=ratios)
+        norm = 1.0 + 2.0 * ratios[2::2].sum(axis=0)
+    out = ratios[: kmax + 1] / norm
+    bad = ~np.isfinite(norm)
+    if bad.any():
+        out[:, bad] = _bessel_miller(kmax, np.nextafter(x[bad], np.inf))
+    return out
+
+
+def bessel_j(kmax: int, x) -> np.ndarray:
+    """Bessel functions ``J_0(x) .. J_kmax(x)`` of ``x >= 0``, shape ``(kmax + 1, x.size)``.
+
+    Hankel's expansion with forward recurrence where ``x >= max(25, kmax)``,
+    Miller's backward recurrence below (module docstring).  Arguments are
+    taken ``_BESSEL_CHUNK`` at a time, so the work arrays besides the result
+    never exceed :func:`_bessel_scratch` entries.  Absolute error against a
+    reference implementation is below 1e-15 for ``kmax <= 12`` and ~1e-14 at
+    ``kmax = 32`` (tested up to ``x = 2000``).
+    """
+    x = np.ravel(np.asarray(x, dtype=float))
+    out = np.empty((kmax + 1, x.size))
+    for lo in range(0, x.size, _BESSEL_CHUNK):
+        part = x[lo : lo + _BESSEL_CHUNK]
+        block = out[:, lo : lo + _BESSEL_CHUNK]
+        near = part < max(_HANKEL_X, kmax)
+        if near.any():
+            block[:, near] = _bessel_miller(kmax, part[near])
+        if not near.all():
+            block[:, ~near] = _bessel_hankel(kmax, part[~near])
+    return out
+
+
+def _miller_start(top: float) -> int:
+    """Even order, well past ``top``, from which Miller's recurrence runs down."""
+    return 2 * int(0.5 * (top + 4.0 * math.sqrt(top) + 16.0)) + 2
+
+
+def _bessel_scratch(kmax: int, size: int) -> int:
+    """Most float64 entries that :func:`bessel_j` holds besides its result.
+
+    Miller's ratio rows and result plus a few argument-sized rows, for the
+    largest chunk (Hankel's work, ``kmax + 15`` rows, is smaller).
+    """
+    rows = _miller_start(max(_HANKEL_X, kmax)) + 2 + (kmax + 1) + 6
+    return rows * min(size, _BESSEL_CHUNK)
+
+
+def _reach(k: int) -> int:
+    """Harmonic reach ``4 2^j >= k`` that serves a rotation degree ``k``."""
+    reach = 4
+    while reach < k:
+        reach *= 2
+    return reach
+
+
 class QuadratureOracle:
     """Batch evaluator for the direct-quadrature kernel.
 
-    Caches the spectra of the radial tables by (p_mag, n, branch), the
-    Fourier coefficients of each rotation element by (total, m, n) and, per
-    momentum magnitude, the panel-edge and in-panel-offset exponential
-    factors, sharing them across kernel indices and momentum angles.  Only
-    plus-branch tables are transformed: the minus-branch spectrum is the
-    plus-branch one conjugated, ``Rf_-[k] = (-1)^k conj(Rf_+[-k])``.
-    ``w_density`` keeps the channel plan of the last ``(state, atom)``: per
-    channel, the rotation harmonics of its kernel amplitudes summed with the
-    state and atom coefficients, so one point is one contraction.
+    Caches the spectra of the radial tables by (p_mag, n, branch, reach), the
+    Fourier coefficients of each rotation element by (total, m, n) and, for
+    the current momentum magnitude, the radial rules by (panel count, order),
+    sharing them across kernel indices and momentum angles.  Only plus-branch
+    tables are transformed: the minus-branch spectrum is the plus-branch one
+    conjugated, ``Rf_-[k] = (-1)^k conj(Rf_+[k])``.  ``w_density`` keeps the
+    channel plan of the last ``(state, atom)`` (per channel, the rotation
+    harmonics of its kernel amplitudes summed with the state and atom
+    coefficients) and that plan times the spectra at the last momentum
+    magnitude, so one point is one contraction.
     """
 
     def __init__(
@@ -229,25 +377,17 @@ class QuadratureOracle:
         rho = np.linspace(0.0, self._rho_max, 4001)
         # absolute scale for radial tolerances: total amplitude mass
         self._mass = float(np.trapezoid(rho * self.profile.density(rho), rho))
-        self._radial: Dict[Tuple[float, int, int], np.ndarray] = {}
+        self._radial: Dict[Tuple[float, int, int, int], np.ndarray] = {}
         self._harmonics: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        self._exp_cache: Dict[Tuple[float, int, int], tuple] = {}
-        self._edge_cache: Dict[int, np.ndarray] = {}
-        self._exp_cache_p: Optional[float] = None
+        self._panel_cache: Dict[Tuple[int, int], tuple] = {}
+        self._rules: Dict[Tuple[int, int], tuple] = {}
+        self._edges: Dict[int, np.ndarray] = {}
+        self._rules_p: Optional[float] = None
+        self._angles: Optional[np.ndarray] = None
         self._plan = None
+        self._plan_at = None
 
-    # -- geometry ------------------------------------------------------
-
-    def angular_points(self, p_mag: float) -> int:
-        """Trapezoid node count covering the oscillation bandwidth at p_mag.
-
-        The angle spectrum of ``exp(-i rho p cos theta)`` at radius rho is
-        Bessel-like, negligible beyond harmonic ``rho p``; the envelope kills
-        radii beyond ~30 decay lengths, so nodes are budgeted on that reach.
-        """
-        reach = min(self._rho_max, 30.0 * self.profile.decay_scale())
-        need = int(math.ceil((1.05 * p_mag * reach + 64.0) / 2.0)) * 2
-        return max(self.quad.angular_points, need)
+    # -- radial rules ----------------------------------------------------
 
     def _panels_for(self, c_max: float) -> int:
         base_len = min(
@@ -258,101 +398,128 @@ class QuadratureOracle:
         needed = max(4, math.ceil(self._rho_max / base_len))
         return 1 << max(3, (needed - 1).bit_length())
 
-    # -- shared exponential factors --------------------------------------
+    def _check_angles(self, p_mag: float) -> np.ndarray:
+        """Angles at which the companion rules are compared.
 
-    def _exp_matrix(self, p_mag: float, n_panels: int, order: int):
-        """Quadrature amplitudes and the separable factors of ``exp(-i rho c)``.
-
-        ``rho = e_j + o_l`` for panel edge ``e_j`` and in-panel offset
-        ``o_l``, so ``exp(-i rho c) = exp(-i e_j c) exp(-i o_l c)``: the
-        ``(P, T)`` edge factor and the ``(L, T)`` offset factor replace the
-        ``(P L, T)`` matrix over the half angle grid.  The edges do not depend
-        on the rule order, so both companion rules share the edge factor.
-        A rule whose edge factor would exceed ``MAX_RULE_ENTRIES`` entries
-        raises ``AccuracyError`` before anything is allocated.
+        For the exponential profile, ``theta = 0`` and ``pi``: the error grows
+        with the frequency ``|p cos theta - shift|``, largest there.  A
+        tabulated profile is the linear interpolant of its samples, whose kinks
+        leave panel errors that do not grow with the frequency and can add up
+        in phase at any angle, so it is checked on the half of a uniform angle
+        grid fine enough for the table's bandwidth (harmonics up to ``p
+        rho``, for radii inside ~30 decay lengths).
         """
-        if self._exp_cache_p != p_mag:
-            self._exp_cache.clear()
-            self._edge_cache.clear()
-            self._exp_cache_p = p_mag
-        key = (p_mag, n_panels, order)
-        hit = self._exp_cache.get(key)
-        if hit is not None:
-            return hit
-        n_theta = self.angular_points(p_mag)
-        if n_panels * (n_theta // 2 + 1) > MAX_RULE_ENTRIES:
+        if self.profile.kind == "exponential":
+            return np.array([0.0, math.pi])
+        reach = min(self._rho_max, 30.0 * self.profile.decay_scale())
+        n_theta = max(512, int(math.ceil((1.05 * p_mag * reach + 64.0) / 2.0)) * 2)
+        return np.arange(n_theta // 2 + 1) * (_TWO_PI / n_theta)
+
+    def _panels(self, n_panels: int, order: int):
+        """``(nodes, amp, starts, offsets)`` of one panel rule; ``amp = w rho g(rho)``.
+
+        Each node is a panel start plus an in-panel offset, ``rho = e_j + o_l``.
+        None of this depends on the momentum, so it is kept for every rule.
+        """
+        hit = self._panel_cache.get((n_panels, order))
+        if hit is None:
+            starts, offsets, _ = _panel_parts(self._rho_max, n_panels, order)
+            nodes, weights = _panel_rule(self._rho_max, n_panels, order)
+            amp = weights * nodes * self.profile.density(nodes)
+            hit = self._panel_cache[n_panels, order] = (nodes, amp, starts, offsets)
+        return hit
+
+    def _rule(self, p_mag: float, n_panels: int, order: int, reach: int):
+        """``(edge, offset, bessel)`` of one radial rule at ``p_mag``.
+
+        ``exp(-i rho c)`` at the check angles' ``c = p cos theta`` is the
+        ``(P, angles)`` edge factor ``exp(-i e_j c)``, shared by both orders,
+        times the ``(L, angles)`` offset factor ``exp(-i o_l c)``.  ``bessel``
+        maps a reach to the rows ``J_0..J_reach(rho p)``, filled by the
+        transform that first reads them.  Rules of the last momentum magnitude
+        are kept.  A rule whose transform would hold more than
+        ``MAX_RULE_ENTRIES`` entries (Bessel rows and work rows per node, edge
+        factors per panel and check angle, Bessel scratch) raises
+        ``AccuracyError`` before anything is allocated.
+        """
+        if self._rules_p != p_mag:
+            self._rules.clear()
+            self._edges.clear()
+            self._rules_p = p_mag
+            self._angles = self._check_angles(p_mag)
+        nodes = n_panels * order
+        entries = (
+            nodes * (reach + 1 + _NODE_WORK)
+            + n_panels * self._angles.size * _ANGLE_WORK
+            + _bessel_scratch(reach, nodes)
+        )
+        if entries > MAX_RULE_ENTRIES:
             raise AccuracyError(
-                f"radial rule of {n_panels} panels x {n_theta} angles at p = {p_mag:.6g} "
-                f"exceeds {MAX_RULE_ENTRIES} edge-factor entries"
+                f"radial rule of {n_panels} panels x {order} nodes, {reach + 1} Bessel rows and "
+                f"{self._angles.size} check angles at p = {p_mag:.6g} exceeds {MAX_RULE_ENTRIES} rule entries"
             )
-        theta_half = np.arange(n_theta // 2 + 1) * (_TWO_PI / n_theta)
-        nodes, weights = _panel_rule(self._rho_max, n_panels, order)
-        amp = weights * nodes * self.profile.density(nodes)
-        starts, offsets, _ = _panel_parts(self._rho_max, n_panels, order)
-        c = p_mag * np.cos(theta_half)
-        edge = self._edge_cache.get(n_panels)
-        if edge is None:
-            edge = self._edge_cache[n_panels] = np.exp(-1j * np.outer(starts, c))
-        offset = np.exp(-1j * np.outer(offsets, c))
-        entry = (nodes, amp, edge, offset, n_theta)
-        self._exp_cache[key] = entry
-        return entry
+        rule = self._rules.get((n_panels, order))
+        if rule is None:
+            _, _, starts, offsets = self._panels(n_panels, order)
+            c = p_mag * np.cos(self._angles)
+            edge = self._edges.get(n_panels)
+            if edge is None:
+                edge = self._edges[n_panels] = np.exp(-1j * np.outer(starts, c))
+            rule = self._rules[n_panels, order] = (edge, np.exp(-1j * np.outer(offsets, c)), {})
+        return rule
 
-    def _radial_transform(self, p_mag: float, shift: float, c_max: float):
-        """``R(theta_i) = Int rho g exp(-i rho [p cos theta_i - shift]) drho``.
+    def _radial_transform(self, p_mag: float, shift: float, reach: int):
+        """Harmonics ``k = -reach..reach`` of ``R(theta) = Int rho g exp(-i rho [p cos theta - shift]) drho``.
 
-        Returns the full angular table plus the companion-rule error bound;
-        doubles the panel count until the bound meets the radial tolerance.
+        Returns the spectrum and the companion-rule error bound over the check
+        angles (:meth:`_check_angles`); doubles the panel count until the
+        bound meets the radial tolerance.
         """
         tol = self.quad.radial_rel_tol * self._mass
-        n_panels = self._panels_for(c_max)
-        best = None
+        n_panels = self._panels_for(p_mag + abs(shift))
         for _ in range(self.quad.max_radial_refinements + 1):
-            results = []
+            checks = []
             for order in _GL_ORDERS:
-                nodes, amp, edge, offset, n_theta = self._exp_matrix(p_mag, n_panels, order)
-                panel_amp = (amp * np.exp(1j * shift * nodes)).reshape(n_panels, -1)
-                results.append(np.einsum("jt,jt->t", edge, panel_amp @ offset))
-            err = float(np.max(np.abs(results[1] - results[0])))
-            best = (results[1], err, n_theta)
+                edge, offset, bessel = self._rule(p_mag, n_panels, order, reach)
+                nodes, amp, starts, offsets = self._panels(n_panels, order)
+                # exp(i rho s) = exp(i e_j s) exp(i o_l s), panel by panel
+                phase = np.exp(1j * shift * starts)[:, None] * np.exp(1j * shift * offsets)
+                weighted = amp.reshape(n_panels, order) * phase
+                checks.append(np.einsum("jt,jt->t", edge, weighted @ offset))
+            err = float(np.max(np.abs(checks[1] - checks[0])))
             if err <= tol:
                 break
             n_panels *= 2
-        else:
+        # the order-24 rule of the last panel count, as the accepted result or the estimate
+        rows = bessel.get(reach)
+        if rows is None:
+            rows = bessel[reach] = bessel_j(reach, p_mag * nodes)
+        half = rows @ weighted.reshape(-1).view(float).reshape(-1, 2)
+        half = (half[:, 0] + 1j * half[:, 1]) * (-1j) ** np.arange(reach + 1)
+        spectrum = np.concatenate([half[:0:-1], half])
+        if err > tol:
             raise AccuracyError(
-                f"radial quadrature stuck at error {best[1]:.3e} (tolerance {tol:.3e})",
-                estimate=best[0],
-                error_bound=best[1],
+                f"radial quadrature stuck at error {err:.3e} (tolerance {tol:.3e})",
+                estimate=spectrum,
+                error_bound=err,
             )
-        half, err, n_theta = best
-        # cos(theta) mirrors about theta = pi, so the upper half of the
-        # angular table repeats the lower half in reverse
-        full = np.concatenate([half, half[-2:0:-1]])
-        assert full.size == n_theta
-        return full, err
+        return spectrum, err
 
-    def _radial_table(self, p_mag: float, n: int, branch: int):
-        """Angular table of one radial transform and its error bound (uncached)."""
-        shift = (1 if n == 0 else branch) * math.sqrt(n) * self.params.lam
-        return self._radial_transform(p_mag, shift, p_mag + abs(shift))
+    def _radial_spectrum(self, p_mag: float, n: int, branch: int, reach: int) -> np.ndarray:
+        """Harmonics ``k = -reach..reach`` of the radial table, cached by (p_mag, n, branch, reach).
 
-    def _radial_spectrum(self, p_mag: float, n: int, branch: int) -> np.ndarray:
-        """``fft(R) / T`` of the radial table, cached by (p_mag, n, branch).
-
-        The minus branch is ``(-1)^k conj(Rf_+[-k])`` of the plus spectrum
+        The minus branch is ``(-1)^k conj(Rf_+[k])`` of the plus spectrum
         (module docstring), with no transform of its own.
         """
         branch = 1 if n == 0 else branch
-        key = (p_mag, n, branch)
+        key = (p_mag, n, branch, reach)
         hit = self._radial.get(key)
         if hit is None:
             if branch < 0:
-                plus = self._radial_spectrum(p_mag, n, 1)
-                k = np.arange(plus.size)
-                hit = np.where(k % 2, -1.0, 1.0) * np.conj(plus[-k])
+                plus = self._radial_spectrum(p_mag, n, 1, reach)
+                hit = np.where(np.arange(-reach, reach + 1) % 2, -1.0, 1.0) * np.conj(plus)
             else:
-                table, _ = self._radial_table(p_mag, n, branch)
-                hit = np.fft.fft(table) / table.size
+                hit, _ = self._radial_transform(p_mag, math.sqrt(n) * self.params.lam, reach)
             if len(self._radial) > 4096:
                 self._radial.clear()
             self._radial[key] = hit
@@ -376,22 +543,32 @@ class QuadratureOracle:
     # -- public evaluations ---------------------------------------------
 
     def fourier(self, idx: KernelIndices, point: MomentumPoint) -> complex:
-        spec = self._radial_spectrum(point.p_mag, idx.n, idx.branch)
         d = idx.delta
         dhat, k = self._rotation_harmonics(idx.total - d, idx.m - d, idx.n - d)
-        return complex(dhat @ (np.exp(1j * point.p_ang * k) * spec[-k]))
+        top = idx.total - d
+        reach = _reach(top)
+        spec = self._radial_spectrum(point.p_mag, idx.n, idx.branch, reach)
+        # the spectrum is even in k, so its slice on -top..top is Rf[-k]
+        return complex(dhat @ (np.exp(1j * point.p_ang * k) * spec[reach - top : reach + top + 1]))
 
     def w_density(self, state: TwoModeState, atom: AtomState, point: MomentumPoint) -> float:
         """Momentum density assembled from numeric kernels (oracle route).
 
-        One contraction of the channel plan of ``(state, atom)`` with the
-        radial spectra at ``point.p_mag`` and the phases ``exp(i k p_ang)``.
+        The channel plan of ``(state, atom)`` times the radial spectra at
+        ``point.p_mag`` is a channel x harmonic matrix, kept for the last
+        magnitude; one point contracts it with the phases ``exp(i k p_ang)``.
         """
         keys, rows, coeffs, weights, k = self._channel_plan(state, atom)
         if not keys:
             return 0.0
-        spectra = np.array([self._radial_spectrum(point.p_mag, n, b)[-k] for n, b in keys])
-        amps = (coeffs * spectra[rows]) @ np.exp(1j * point.p_ang * k)
+        if self._plan_at is None or self._plan_at[0] != point.p_mag:
+            top = k[-1]
+            reach = _reach(top)
+            spectra = np.array(
+                [self._radial_spectrum(point.p_mag, n, b, reach)[reach - top : reach + top + 1] for n, b in keys]
+            )
+            self._plan_at = (point.p_mag, coeffs * spectra[rows])
+        amps = self._plan_at[1] @ np.exp(1j * point.p_ang * k)
         return math.fsum(weights * np.abs(amps) ** 2)
 
     def _channel_plan(self, state: TwoModeState, atom: AtomState):
@@ -431,6 +608,7 @@ class QuadratureOracle:
         weights = np.array([weight for _, weight, _ in channels])
         plan = (keys, rows, coeffs, weights, np.arange(-top, top + 1))
         self._plan = ((state, atom), plan)
+        self._plan_at = None
         return plan
 
 

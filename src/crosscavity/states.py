@@ -71,8 +71,32 @@ class TwoModeState:
     def __setattr__(self, name, value):
         raise AttributeError("TwoModeState is immutable")
 
+    def _scaled_norm_squared(self) -> Tuple[float, int]:
+        """``(s, e)`` with ``norm_squared = s 4^e``, no square overflowing or underflowing.
+
+        Every modulus is scaled by ``2^-e``, with ``2^e`` just above the largest
+        one; scaling by a power of two is exact, so ``s 4^e`` is the correctly
+        rounded sum of squares whenever that sum is a normal float.
+        """
+        moduli = [abs(c) for c in self.amplitudes.values()]
+        exponent = math.frexp(max(moduli, default=0.0))[1]
+        return math.fsum(math.ldexp(m, -exponent) ** 2 for m in moduli), exponent
+
     def norm_squared(self) -> float:
-        return math.fsum(abs(c) ** 2 for c in self.amplitudes.values())
+        """Sum of the squared moduli; ``inf`` beyond the float range."""
+        scaled, exponent = self._scaled_norm_squared()
+        try:
+            return math.ldexp(scaled, 2 * exponent)
+        except OverflowError:
+            return math.inf
+
+    def norm(self) -> float:
+        """Euclidean norm; ``inf`` only when it exceeds the float range itself."""
+        scaled, exponent = self._scaled_norm_squared()
+        try:
+            return math.ldexp(math.sqrt(scaled), exponent)
+        except OverflowError:
+            return math.inf
 
     def blocks(self) -> Dict[int, Dict[int, complex]]:
         """Group amplitudes by total photon number: ``{N: {m: C_{m, N-m}}}``."""
@@ -176,12 +200,14 @@ def normalize(state: TwoModeState) -> TwoModeState:
     Already-normalized states (norm within 1e-14 of one) are returned
     unchanged so that normalization is exactly idempotent.
     """
-    norm2 = state.norm_squared()
-    if norm2 == 0.0:
+    norm = state.norm()
+    if norm == 0.0:
         raise InvalidStateError("cannot normalize a state with no nonzero amplitude")
-    if abs(norm2 - 1.0) < 1e-14:
+    if norm == math.inf:
+        raise InvalidStateError("state norm overflows a float")
+    if abs(state.norm_squared() - 1.0) < 1e-14:
         return state
-    factor = 1.0 / math.sqrt(norm2)
+    factor = 1.0 / norm
     return TwoModeState(
         {key: c * factor for key, c in state.amplitudes.items()}, tags=state.tags
     )

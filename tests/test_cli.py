@@ -414,8 +414,9 @@ def test_grid_to_csv_matches_per_value_formatter(tmp_path):
 
 
 def test_cli_numeric_kernel_refuses_oversized_radial_rule(tmp_path):
-    # at lambda 1e4 the rule at p_max would need 16384 panels x 109814 angles
-    spec = write_spec(tmp_path, {**NOON2, "params": {"lambda": 1e4, "k_delta_r": 0.1}})
+    # at lambda 1e6 the first rule (p = 0) would need 524288 panels of 12
+    # nodes, each with 5 Bessel rows and 10 work rows, past 2**24 entries
+    spec = write_spec(tmp_path, {**NOON2, "params": {"lambda": 1e6, "k_delta_r": 0.1}})
     out = tmp_path / "sim"
     code = run_cli(
         ["simulate", "--state", spec, "--out", out, "--kernel", "numeric", "--grid", "r:2,phi:4"]

@@ -45,11 +45,11 @@ def test_profile_validation():
 def test_quadrature_spec_validation():
     QuadratureSpec()
     with pytest.raises(ValueError):
-        QuadratureSpec(angular_points=17)
-    with pytest.raises(ValueError):
-        QuadratureSpec(angular_points=32)
-    with pytest.raises(ValueError):
         QuadratureSpec(radial_rel_tol=1e-18)
+    with pytest.raises(ValueError):
+        QuadratureSpec(radial_cutoff=0.0)
+    with pytest.raises(ValueError):
+        QuadratureSpec(max_radial_refinements=-1)
 
 
 def test_phi_structure_of_ground_kernel():
@@ -154,51 +154,62 @@ def test_peak_location_independent_of_profile_width():
 
 
 def test_quadrature_convergence_under_refinement():
-    # doubling angle nodes and tightening the radial tolerance moves results
-    # by less than the coarse run's own error budget
+    # tightening the radial tolerance (down to forcing panel doubling) moves
+    # results by less than the coarse run's own error budget
     idx = KernelIndices(2, 1, 1, "e", -1)
     pts = [MomentumPoint(p, a) for p, a in [(3.0, 0.2), (20.0, 2.0), (28.3, 4.0), (45.0, 1.0)]]
-    coarse = QuadratureSpec(angular_points=512, radial_rel_tol=1e-9)
-    fine = QuadratureSpec(angular_points=1024, radial_rel_tol=5e-10)
-    o_coarse = QuadratureOracle(PARAMS, quad=coarse)
-    o_fine = QuadratureOracle(PARAMS, quad=fine)
-    for pt in pts:
-        a = o_coarse.fourier(idx, pt)
-        b = o_fine.fourier(idx, pt)
-        _, radial_err = o_coarse._radial_table(pt.p_mag, idx.n, idx.branch)
-        budget = max(radial_err, 1e-9 * o_coarse._mass)
-        assert abs(a - b) <= budget
+    o_coarse = QuadratureOracle(PARAMS, quad=QuadratureSpec(radial_rel_tol=1e-9))
+    for fine in (QuadratureSpec(radial_rel_tol=5e-10), QuadratureSpec(radial_rel_tol=1e-13)):
+        o_fine = QuadratureOracle(PARAMS, quad=fine)
+        for pt in pts:
+            a = o_coarse.fourier(idx, pt)
+            b = o_fine.fourier(idx, pt)
+            _, radial_err = o_coarse._radial_transform(pt.p_mag, PARAMS.lam, 4)
+            budget = max(radial_err, 1e-9 * o_coarse._mass)
+            assert abs(a - b) <= budget
 
 
 def test_radial_rule_failure_reports_estimate():
+    # at p = 90 the initial panels leave an endpoint error ~2e-10 of the mass,
+    # far above 1e-13, and no doubling is allowed
     from crosscavity.quadrature import AccuracyError
 
+    params = CouplingParams(100.0, 0.3)
     brutal = QuadratureSpec(radial_rel_tol=1e-13, max_radial_refinements=0)
-    oracle = QuadratureOracle(CouplingParams(100.0, 0.3), quad=brutal)
+    oracle = QuadratureOracle(params, quad=brutal)
     idx = KernelIndices(1, 1, 1, "e", 1)
-    try:
-        oracle.fourier(idx, MomentumPoint(180.0, 0.0))
-    except AccuracyError as exc:
-        assert exc.estimate is not None
-        assert math.isfinite(exc.error_bound)
-    else:
-        # if the coarse rule is already this good, the error path stays idle;
-        # force it with an absurd tolerance instead
-        pytest.skip("panel rule met 1e-13 without refinement")
+    with pytest.raises(AccuracyError) as err:
+        oracle.fourier(idx, MomentumPoint(90.0, 0.0))
+    exc = err.value
+    assert math.isfinite(exc.error_bound) and exc.error_bound > 1e-13 * oracle._mass
+    converged = QuadratureOracle(params)._radial_spectrum(90.0, 1, 1, 4)
+    assert exc.estimate.shape == converged.shape
+    assert np.max(np.abs(exc.estimate - converged)) <= exc.error_bound
 
 
-def _direct_radial_tables(oracle, p_mag, shifts, n_panels):
-    """Reference: the order-24 panel rule against the full node-by-angle matrix.
+def _angle_count(oracle, p_mag):
+    """Trapezoid nodes covering the angle bandwidth of ``exp(-i rho p cos theta)``.
 
-    One matrix, built in blocks of 16 panels to keep memory small, serves
-    every shift at the same momentum and panel count.
+    That bandwidth is negligible beyond harmonic ``rho p``, and the envelope
+    kills radii beyond ~30 decay lengths.
+    """
+    reach = min(oracle._rho_max, 30.0 * oracle.profile.decay_scale())
+    return max(512, int(math.ceil((1.05 * p_mag * reach + 64.0) / 2.0)) * 2)
+
+
+def _direct_radial_tables(oracle, p_mag, shifts, n_panels, order=24):
+    """Reference: one panel rule against the full node-by-angle matrix.
+
+    Returns ``R(theta_t)`` on ``theta_t = 2 pi t / T`` for each shift.  One
+    matrix, built in blocks of 384 nodes to keep memory small, serves every
+    shift at the same momentum and panel count.
     """
     from crosscavity.quadrature import _panel_rule
 
-    n_theta = oracle.angular_points(p_mag)
+    n_theta = _angle_count(oracle, p_mag)
     theta_half = np.arange(n_theta // 2 + 1) * (2 * math.pi / n_theta)
     c = p_mag * np.cos(theta_half)
-    nodes, weights = _panel_rule(oracle._rho_max, n_panels, 24)
+    nodes, weights = _panel_rule(oracle._rho_max, n_panels, order)
     amp = weights * nodes * oracle.profile.density(nodes)
     coeff = amp * np.exp(1j * np.outer(shifts, nodes))
     half = np.zeros((len(shifts), c.size), dtype=complex)
@@ -208,39 +219,57 @@ def _direct_radial_tables(oracle, p_mag, shifts, n_panels):
     return np.concatenate([half, half[:, -2:0:-1]], axis=1)
 
 
+def _transform_with_panels(oracle, p_mag, shift, reach=4):
+    """The oracle's transform of one table and the panel counts its rules used."""
+    used = []
+    rule = oracle._rule
+    oracle._rule = lambda p, n_panels, order, r: used.append(n_panels) or rule(p, n_panels, order, r)
+    try:
+        spectrum, _ = oracle._radial_transform(p_mag, shift, reach)
+    finally:
+        del oracle._rule
+    return spectrum, used
+
+
 def _check_tables_against_direct(oracle, p_values):
     """Every ``(p, n, branch)`` table for n <= 4 against the direct reference.
 
-    The reference sums the same terms in another order, so the two agree to
+    The harmonics ``|k| <= 4`` must equal ``fft(R) / T`` of the reference
+    table at the panel count the oracle accepted; the reference sums the same
+    terms in another order and over an angle grid, so the two agree to
     rounding of the summed amplitudes.  That rounding scales with the
     amplitude mass rather than with ``max|R|``: when the shift and ``p cos
     theta`` never cancel (lam = 100, k_delta_r = 0.3, p <= lam, n >= 3),
-    ``max|R|`` is ~1e-4 of the mass and even the direct sum sits a few
-    1e-12 max|R| from an extended-precision evaluation of itself.  Returns
-    whether any table needed panel doubling.
+    ``max|R|`` is ~1e-4 of the mass.  At that panel count the order-12
+    companion of the reference must also meet the radial tolerance at every
+    angle: the oracle's check (at ``theta = 0`` and ``pi``, or on a half
+    angle grid for a tabulated profile) accepts no coarser rule than the
+    angle-maximum check of an angle-sampled transform.  Returns whether any
+    table needed panel doubling.
     """
-    panels_used = []
-    probe = oracle._exp_matrix
-    oracle._exp_matrix = lambda p, n_panels, order: panels_used.append(n_panels) or probe(
-        p, n_panels, order
-    )
+    tol = oracle.quad.radial_rel_tol * oracle._mass
+    k = np.arange(-4, 5)
     doubled = False
     for p in p_values:
         groups = {}
         for n in range(5):
-            for branch in (1,) if n == 0 else (1, -1):
-                panels_used.clear()
-                table, _ = oracle._radial_table(float(p), n, branch)
-                doubled |= panels_used[-1] != panels_used[0]
-                shift = branch * math.sqrt(n) * oracle.params.lam
-                groups.setdefault(panels_used[-1], []).append((shift, table))
+            shift = math.sqrt(n) * oracle.params.lam
+            spectrum, used = _transform_with_panels(oracle, float(p), shift)
+            doubled |= used[-1] != used[0]
+            groups.setdefault(used[-1], []).append((shift, spectrum))
+            if n:
+                minus = oracle._radial_spectrum(float(p), n, -1, 4)
+                groups[used[-1]].append((-shift, minus))
         for n_panels, entries in groups.items():
             shifts = [shift for shift, _ in entries]
             refs = _direct_radial_tables(oracle, float(p), shifts, n_panels)
-            for (shift, table), ref in zip(entries, refs):
+            companions = _direct_radial_tables(oracle, float(p), shifts, n_panels, order=12)
+            assert np.max(np.abs(refs - companions)) <= tol, (p, n_panels)
+            for (shift, spectrum), ref in zip(entries, refs):
+                expected = np.fft.fft(ref)[k] / ref.size
                 scale = max(float(np.max(np.abs(ref))), oracle._mass)
-                assert table.shape == ref.shape
-                assert np.max(np.abs(table - ref)) <= 1e-13 * scale, (p, shift)
+                assert spectrum.shape == (9,)
+                assert np.max(np.abs(spectrum - expected)) <= 1e-13 * scale, (p, shift)
     return doubled
 
 
@@ -316,20 +345,26 @@ def _indices_up_to(max_total):
 @pytest.mark.parametrize("lam", [5.0, 20.0, 100.0])
 @pytest.mark.parametrize("kdr", [0.1, 0.3])
 def test_fourier_matches_shifted_grid_sum(lam, kdr):
-    # the harmonic contraction equals the trapezoid sum over the shifted angle
-    # grid it replaces, for every index of total <= 4 in both channels
+    # the harmonic contraction equals the trapezoid sum of the rotation element
+    # over the shifted angle grid, taken on the direct reference table at the
+    # panel count the oracle accepted, for every index of total <= 4 in both
+    # channels
     oracle = QuadratureOracle(CouplingParams(lam, kdr))
     indices = list(_indices_up_to(4))
     for p in (0.0, 3.0, lam, 2.0 * lam):
+        groups = {}
+        for n in range(5):
+            _, used = _transform_with_panels(oracle, p, math.sqrt(n) * lam)
+            groups.setdefault(used[-1], []).extend([(n, 1), (n, -1)])
         tables = {}
+        for n_panels, keys in groups.items():
+            shifts = [branch * math.sqrt(n) * lam for n, branch in keys]
+            tables.update(zip(keys, _direct_radial_tables(oracle, p, shifts, n_panels)))
         for p_ang in (0.0, 0.9, 2.6, 5.1):
             point = MomentumPoint(p, p_ang)
             for idx in indices:
-                branch = 1 if idx.n == 0 else idx.branch
-                if (idx.n, branch) not in tables:
-                    tables[idx.n, branch] = oracle._radial_table(p, idx.n, branch)[0]
                 d = idx.delta
-                table = tables[idx.n, branch]
+                table = tables[idx.n, idx.branch]
                 ref = _shifted_grid_sum(table, idx.total - d, idx.m - d, idx.n - d, p_ang)
                 assert abs(oracle.fourier(idx, point) - ref) <= 1e-14 * oracle._mass, (idx, point)
 
@@ -383,14 +418,61 @@ def test_profile_and_spec_reject_non_finite_values():
 
 
 def test_oversized_radial_rule_refused_before_allocation():
+    # a transform holds, per node, reach + 1 Bessel rows and _NODE_WORK work
+    # rows, per panel and check angle _ANGLE_WORK edge-factor entries, and the
+    # Bessel chunk scratch; one panel past the limit is refused, and nothing
+    # is built or cached on the way
+    from crosscavity import quadrature
     from crosscavity.quadrature import MAX_RULE_ENTRIES, AccuracyError
 
     oracle = QuadratureOracle(PARAMS)
-    half_angles = oracle.angular_points(50.0) // 2 + 1
-    with pytest.raises(AccuracyError, match="edge-factor entries"):
-        oracle._exp_matrix(50.0, MAX_RULE_ENTRIES // half_angles + 1, 24)
-    with pytest.raises(AccuracyError):
-        oracle._exp_matrix(50.0, 1 << 40, 24)
+    per_panel = 24 * (4 + 1 + quadrature._NODE_WORK) + 2 * quadrature._ANGLE_WORK
+    limit = (MAX_RULE_ENTRIES - quadrature._bessel_scratch(4, 1 << 40)) // per_panel
+    with pytest.raises(AccuracyError, match="rule entries"):
+        oracle._rule(50.0, limit + 1, 24, 4)
+    with pytest.raises(AccuracyError, match="rule entries"):
+        oracle._rule(50.0, 1 << 40, 24, 4)
+    with pytest.raises(AccuracyError, match="rule entries"):
+        oracle._rule(50.0, 8, 24, 1 << 40)
+    assert not oracle._rules and not oracle._edges and not oracle._panel_cache
+    oracle._rule(50.0, limit, 24, 4)
+    assert oracle._rules
+
+
+def test_accepted_radial_transforms_stay_within_rule_budget(monkeypatch):
+    # every transform the guard lets through holds at most 8 MAX_RULE_ENTRIES
+    # bytes at once (tracemalloc sees numpy's buffers), on shifts that run
+    # from well inside a small budget to refused, for both profile kinds
+    import tracemalloc
+
+    from crosscavity import quadrature
+    from crosscavity.quadrature import AccuracyError
+
+    monkeypatch.setattr(quadrature, "MAX_RULE_ENTRIES", 1 << 21)
+    budget = 8 * quadrature.MAX_RULE_ENTRIES
+    rho = np.linspace(0.0, 5.0, 200)
+    profiles = [SlitProfile.exponential(0.1), SlitProfile.tabulated(rho, np.exp(-rho / 0.2))]
+    accepted, refused = [], 0
+    for profile in profiles:
+        for shift in (1e2, 1e3, 3e3):
+            for p_mag, reach in ((0.0, 4), (40.0, 4), (40.0, 16)):
+                oracle = QuadratureOracle(PARAMS, profile)
+                tracemalloc.start()
+                try:
+                    oracle._radial_transform(p_mag, shift, reach)
+                    refusal = False
+                except AccuracyError as exc:
+                    refusal = "rule entries" in str(exc)
+                finally:
+                    peak = tracemalloc.get_traced_memory()[1]
+                    tracemalloc.stop()
+                assert peak <= budget, (profile.kind, shift, p_mag, reach)
+                if refusal:
+                    refused += 1
+                else:
+                    accepted.append(peak)
+    assert refused and accepted
+    assert max(accepted) >= budget / 4  # the largest accepted rules come near the cap
 
 
 def _per_index_density(oracle, state, atom, point):
@@ -462,16 +544,16 @@ def test_w_density_matches_per_index_sum(lam, kdr):
 @pytest.mark.parametrize("lam", [5.0, 100.0])
 @pytest.mark.parametrize("kdr", [0.1, 0.3])
 def test_minus_branch_spectrum_matches_direct_table(lam, kdr):
-    # Rf_-[k] = (-1)^k conj(Rf_+[-k]) against the transform of the minus table
+    # Rf_-[k] = (-1)^k conj(Rf_+[k]) against the transform of the minus table
+    # itself, which meets the same panel count (the companion errors at theta
+    # = 0 and pi trade places)
     oracle = QuadratureOracle(CouplingParams(lam, kdr))
     for p in (0.0, 0.4 * lam, lam, 1.7 * lam, 3.1 * lam):
         for n in range(1, 6):
-            derived = oracle._radial_spectrum(p, n, -1)
-            table, _ = oracle._radial_table(p, n, -1)
-            direct = np.fft.fft(table) / table.size
-            k = np.arange(-(n + 1), n + 2)
-            assert derived.shape == direct.shape
-            assert np.max(np.abs(derived[k] - direct[k])) <= 1e-14 * oracle._mass, (p, n)
+            derived = oracle._radial_spectrum(p, n, -1, 8)
+            direct, _ = oracle._radial_transform(p, -math.sqrt(n) * lam, 8)
+            assert derived.shape == direct.shape == (17,)
+            assert np.max(np.abs(derived - direct)) <= 1e-14 * oracle._mass, (p, n)
 
 
 def test_numeric_grid_transforms_plus_branch_only(monkeypatch):
@@ -491,3 +573,87 @@ def test_numeric_grid_transforms_plus_branch_only(monkeypatch):
     w_grid(noon_state(3), AtomState.normalized(1.0, 0.5j), PARAMS, grid=grid, kernel="numeric")
     assert len(calls) == (4 + 1) * grid.radial_points
     assert all(shift >= 0.0 for _, shift, _ in calls)
+
+
+def test_bessel_j_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    from crosscavity.quadrature import bessel_j
+
+    rng = np.random.default_rng(7)
+    x = np.concatenate(
+        [
+            [0.0, 1e-300, 1e-160, 9.76102312998167],  # the last one zeroes a Miller denominator
+            np.linspace(0.0, 60.0, 6001),
+            np.linspace(60.0, 2000.0, 4001),
+            rng.uniform(0.0, 2000.0, 4000),
+        ]
+    )
+    for kmax, tol in ((0, 1e-15), (1, 1e-15), (4, 1e-15), (12, 1e-15), (32, 1e-13)):
+        got = bessel_j(kmax, x)
+        ref = special.jv(np.arange(kmax + 1)[:, None], x)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= tol, kmax
+    # values depend neither on argument order nor on where chunks split
+    shuffled = rng.permutation(x)
+    assert np.array_equal(bessel_j(12, shuffled)[:, np.argsort(shuffled)], bessel_j(12, np.sort(x)))
+
+
+def test_bessel_j_neumann_sum():
+    # 1 = J_0 + 2 sum_k J_2k, complete once the orders pass x by a wide margin
+    from crosscavity.quadrature import bessel_j
+
+    x = np.concatenate([[0.0, 1e-300], np.linspace(0.0, 20.0, 2001)])
+    j = bessel_j(64, x)
+    sums = [math.fsum([j[0, i], *(2.0 * j[2::2, i])]) for i in range(x.size)]
+    assert max(abs(s - 1.0) for s in sums) <= 1e-15
+
+
+def test_bessel_j_survives_a_zero_denominator(monkeypatch):
+    # at this zero of J_3 the continued fraction's denominator 2k - x r_{k+1}
+    # rounds to exactly 0 for k = 4; that argument is retried one ulp up
+    import crosscavity.quadrature as quadrature
+
+    zero = 9.76102312998167
+    calls = []
+    miller = quadrature._bessel_miller
+    monkeypatch.setattr(quadrature, "_bessel_miller", lambda k, x: calls.append(x.tolist()) or miller(k, x))
+    j = quadrature.bessel_j(4, np.array([zero, 1.0]))
+    assert calls == [[zero, 1.0], [float(np.nextafter(zero, np.inf))]]
+    assert np.isfinite(j).all()
+    assert abs(j[3, 0]) <= 1e-15
+    assert abs(j[2, 0] + j[4, 0]) <= 1e-15  # J_2 + J_4 = (6 / x) J_3 vanishes there
+
+
+def test_fourier_independent_of_harmonic_reach():
+    # a table first served at reach 8 (for a total-6 index) leaves the reach-4
+    # values a total-3 index reads untouched; the two reaches agree to rounding
+    params = CouplingParams(20.0, 0.3)
+    point = MomentumPoint(23.0, 1.3)
+    targets = [KernelIndices(3, 2, 1, "g", 1), KernelIndices(3, 2, 1, "g", -1)]
+    fresh = [QuadratureOracle(params).fourier(idx, point) for idx in targets]
+    warm = QuadratureOracle(params)
+    for branch in (1, -1):
+        warm.fourier(KernelIndices(6, 2, 1, "g", branch), point)
+    assert [warm.fourier(idx, point) for idx in targets] == fresh
+    for branch in (1, -1):
+        low = warm._radial_spectrum(23.0, 1, branch, 4)
+        high = warm._radial_spectrum(23.0, 1, branch, 8)
+        assert np.max(np.abs(high[4:13] - low)) <= 1e-15 * warm._mass
+
+
+def test_w_density_independent_of_evaluation_order():
+    # the per-radius matrix belongs to one (state, atom) plan and one magnitude;
+    # switching states at every point and revisiting radii gives the values of
+    # fresh oracles exactly
+    params = CouplingParams(20.0, 0.1)
+    cases = [
+        (noon_state(2), AtomState.excited()),
+        (one_photon_state(0.4), AtomState.normalized(1.0, 0.5j)),
+    ]
+    points = [MomentumPoint(p, a) for p in (5.0, 20.0, 31.0) for a in (0.0, 2.1)]
+    fresh = {(i, pt): QuadratureOracle(params).w_density(*cases[i], pt) for i in (0, 1) for pt in points}
+    warm = QuadratureOracle(params)
+    order = [(i, pt) for pt in points for i in (0, 1)]
+    order += [(i, pt) for i in (1, 0) for pt in reversed(points)]
+    for i, pt in order:
+        assert warm.w_density(*cases[i], pt) == fresh[i, pt]

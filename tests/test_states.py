@@ -48,6 +48,40 @@ def test_normalize_rejects_zero_state():
         normalize(TwoModeState({(1, 1): 0.0}))
 
 
+def test_normalize_huge_amplitudes():
+    # |c|^2 = 1e400 overflows a float, the norm 1e200 does not
+    s = normalize(TwoModeState({(1, 0): 1e200}))
+    assert s.amplitudes == {(1, 0): 1.0}
+    s = normalize(TwoModeState({(0, 1): 3e200, (1, 0): -4e200j}))
+    assert s.amplitudes[(0, 1)] == pytest.approx(0.6, rel=1e-15)
+    assert s.amplitudes[(1, 0)] == pytest.approx(-0.8j, rel=1e-15)
+    assert TwoModeState({(1, 0): 1e200}).norm_squared() == math.inf
+    assert TwoModeState({(1, 0): 1e200}).norm() == 1e200
+    # only a norm past the float range itself is refused
+    with pytest.raises(InvalidStateError, match="overflows"):
+        normalize(TwoModeState({(1, 0): 1.5e308, (0, 1): 1.5e308}))
+
+
+def test_normalize_tiny_amplitudes():
+    # |c|^2 = 1e-400 underflows to 0, the norm 1e-200 does not (pruning off)
+    s = normalize(TwoModeState({(1, 0): 1e-200}, prune=0.0))
+    assert s.amplitudes == {(1, 0): 1.0}
+    s = normalize(TwoModeState({(0, 1): 3e-200j, (1, 0): 4e-200}, prune=0.0))
+    assert s.amplitudes[(0, 1)] == pytest.approx(0.6j, rel=1e-15)
+    assert s.amplitudes[(1, 0)] == pytest.approx(0.8, rel=1e-15)
+    with pytest.raises(InvalidStateError, match="no nonzero amplitude"):
+        normalize(TwoModeState({(1, 0): 0.0}, prune=0.0))
+
+
+def test_norm_squared_is_the_correctly_rounded_sum_of_squares():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        amps = {(m, 0): complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-5, 5) for m in range(6)}
+        state = TwoModeState(amps)
+        assert state.norm_squared() == math.fsum(abs(c) ** 2 for c in state.amplitudes.values())
+        assert state.norm() == math.sqrt(state.norm_squared())
+
+
 def test_normalize_idempotent_exactly():
     for raw in (
         {(0, 2): 3.0, (2, 0): 4.0},
