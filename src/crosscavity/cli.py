@@ -82,7 +82,10 @@ def _load_spec(path: str) -> specio.ParsedSpec:
 
 def _out_dir(path: str) -> Path:
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise specio.StateSpecError(f"cannot use --out {path!r}: {exc.strerror or exc}") from None
     return out
 
 

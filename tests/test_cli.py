@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from crosscavity import MomentumGrid, parse_state_spec, serialize_state_spec
+from crosscavity import MomentumGrid, parse_state_spec, serialize_state_spec, w_grid
 from crosscavity.cli import main
-from crosscavity.io import StateSpecError, fmt12, grid_to_csv
+from crosscavity.io import _CHUNK_VALUES, StateSpecError, _format_densities, fmt12, grid_to_csv
 
 NOON2 = {
     "builder": {"name": "noon", "args": [2]},
@@ -312,6 +312,27 @@ def test_cli_parse_error_exit_code(tmp_path):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("verb", ["simulate", "detect", "validate"])
+def test_cli_unusable_out_is_a_parse_error(tmp_path, capsys, verb):
+    spec = write_spec(tmp_path, NOON2)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    args = {
+        "simulate": ["simulate", "--state", spec, "--grid", "r:8,phi:8"],
+        "detect": ["detect", "--state", spec],
+        "validate": ["validate"],
+    }[verb]
+    before = sorted(tmp_path.iterdir())
+    # an existing file, and a path under one
+    for out, reason in ((blocker, "File exists"), (blocker / "sub", "Not a directory")):
+        capsys.readouterr()
+        assert run_cli([*args, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot use --out {str(out)!r}: {reason}\n"
+    assert sorted(tmp_path.iterdir()) == before
+    assert blocker.read_text() == "keep"
+
+
 def test_cli_validate_small():
     assert run_cli(["validate"]) == 0
 
@@ -411,6 +432,85 @@ def test_grid_to_csv_matches_per_value_formatter(tmp_path):
     fast = (tmp_path / "fast.csv").read_bytes()
     assert fast == (tmp_path / "ref.csv").read_bytes()
     assert b",-0\n" in fast and b",4.94065645841e-324\n" in fast
+
+
+def fast_route_lines(values):
+    """Each value's text as the grid writer formats it, and the fallback count."""
+    words = np.empty((values.size, 4), np.uint64)
+    fallbacks = _format_densities(values, words)
+    return words.tobytes().translate(None, b"\0").decode().splitlines(), fallbacks
+
+
+def test_density_formatter_matches_percent_g():
+    rng = np.random.default_rng(12)
+    # random bit patterns: every binade, subnormals, nan and inf
+    bits = rng.integers(0, 2**64, size=150_000, dtype=np.uint64).view(np.float64)
+    # short mantissas, so trailing zeros to strip, in every exponent class
+    short = rng.integers(1, 10**6, 30_000) * 10.0 ** rng.integers(-40, 40, 30_000)
+    # mantissas within float error of a rounding tie, and exact ties
+    near_ties = (rng.integers(10**11, 10**12, 20_000) + 0.5) * 10.0 ** rng.integers(-25, 5, 20_000)
+    ties = (rng.integers(10**11, 10**12, 10_000) * 10 + 5) * 10.0 ** rng.integers(0, 4, 10_000)
+    curated = [
+        0.0, 5e-324, 1e-300, 9.99999999999e-5, 1e-4, 1e-5,
+        999999999999.4, 999999999999.5, 1e12, 1234567890123.0, 9999999999999.0,
+        1000000000005.0, math.nan, math.inf,
+    ]
+    for x in [1e-280, 1e280] + [float(f"1e{k}") for k in range(-30, 31)]:
+        curated += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+    values = np.concatenate([bits, short, near_ties, ties, curated, np.negative(curated)])
+    assert values.size >= 200_000
+    lines, _ = fast_route_lines(values)
+    expected = ["%.12g" % v for v in values.tolist()]
+    wrong = [(v, got, want) for v, got, want in zip(values.tolist(), lines, expected) if got != want]
+    assert len(lines) == len(expected) and not wrong[:5]
+
+
+def noon6_grid():
+    spec = parse_state_spec(
+        {"builder": {"name": "noon", "args": [6]}, "params": {"lambda": 20, "k_delta_r": 0.1}}
+    )
+    return w_grid(spec.state, spec.atom, spec.params)
+
+
+def one_photon_superposed_grid():
+    spec = parse_state_spec({
+        "builder": {"name": "one_photon", "args": [0.3]},
+        "atom": {"c_g": {"re": 0.6, "im": 0.0}, "c_e": {"re": 0.0, "im": 0.8}},
+        "params": {"lambda": 100, "k_delta_r": 0.1},
+    })
+    return w_grid(spec.state, spec.atom, spec.params)
+
+
+def ragged_grid():
+    """Rows past a whole number of buffers, 4 angles, labels of mixed widths."""
+    rng = np.random.default_rng(5)
+    rows = 2 * (_CHUNK_VALUES // 4) + 3
+    radial = np.resize([0.0, 1e17, 5e-324, 0.1 + 0.2, 12.5], rows)
+    angular = np.arange(4) * (math.pi / 2)
+    specials = [0.0, -0.0, 5e-324, 1e-300, 1e17, math.nan, math.inf, 999999999999.5]
+    densities = rng.uniform(0.0, 1.0, (rows, 4)) * 10.0 ** rng.integers(-12, 3, (rows, 4))
+    densities.flat[:: 97] = np.resize(specials, densities.flat[:: 97].size)
+    return MomentumGrid(radial, angular, densities, {})
+
+
+@pytest.mark.parametrize(
+    "make", [noon6_grid, one_photon_superposed_grid, ragged_grid], ids=lambda make: make.__name__
+)
+def test_grid_to_csv_matches_reference_on_real_and_ragged_grids(tmp_path, make):
+    grid = make()
+    grid_to_csv(grid, tmp_path / "fast.csv")
+    grid_to_csv_reference(grid, tmp_path / "ref.csv")
+    fast = (tmp_path / "fast.csv").read_bytes()
+    assert fast == (tmp_path / "ref.csv").read_bytes()
+    assert fast.count(b"\n") == grid.densities.size + 1
+
+
+def test_grid_writer_keeps_noon6_densities_on_the_fast_route():
+    # the fallback is exact but slow: a change that routes most values there
+    # keeps the bytes and loses the speed
+    values = noon6_grid().densities.ravel()
+    _, fallbacks = fast_route_lines(values)
+    assert fallbacks <= 0.01 * values.size
 
 
 def test_cli_numeric_kernel_refuses_oversized_radial_rule(tmp_path):
