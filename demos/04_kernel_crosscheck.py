@@ -1,7 +1,8 @@
 """Closed-form kernel versus direct quadrature, and a non-exponential slit.
 
-The production kernel is a finite triple sum valid only for the exponential
-slit density; its independent check is brute-force 2D quadrature of the
+The production kernel is a finite sum over angular harmonics (exact integer
+harmonic tables times a closed-form radial factor), valid only for the
+exponential slit density; its independent check is brute-force 2D quadrature of the
 defining polar integral.  This script cross-validates a random sample of
 kernel indices, then shows the quadrature route handling a tabulated
 (Gaussian) slit, where the ring location stays at sqrt(n) lam even though

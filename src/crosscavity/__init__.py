@@ -36,12 +36,8 @@ from .kernel import (
     MomentumPoint,
     UnsupportedProfileError,
     fourier_analytic,
-    fourier_analytic_direct,
     gamma,
     harmonic_coefficients,
-    r_factor,
-    s_factor,
-    upsilon,
 )
 from .quadrature import (
     AccuracyError,

@@ -80,6 +80,15 @@ def _load_spec(path: str) -> specio.ParsedSpec:
     return specio.parse_state_spec(text)
 
 
+def _check_out(path: str) -> None:
+    """Before any work, refuse an ``--out`` whose path or nearest existing ancestor is not a directory."""
+    out = Path(path)
+    at = next(a for a in (out, *out.parents) if os.path.lexists(a))  # "." or "/" at the latest
+    if not at.is_dir():
+        reason = "File exists" if at == out else "Not a directory"
+        raise specio.StateSpecError(f"cannot use --out {path!r}: {reason}")
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     try:
@@ -310,6 +319,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.run(args)
     except specio.StateSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ from .kernel import (
 )
 from .quadrature import AccuracyError, QuadratureOracle, QuadratureSpec, SlitProfile
 from .rotation import d_matrix_table
-from .states import AtomState, CouplingParams, TwoModeState, dressed_totals
+from .states import AtomState, CouplingParams, TwoModeState, dressed_channels, dressed_totals
 
 _TWO_PI = 2.0 * math.pi
 
@@ -128,35 +128,17 @@ def default_p_max(state: TwoModeState, params: CouplingParams) -> float:
     return math.sqrt(state.max_total + 1) * params.lam + 10.0 / params.k_delta_r
 
 
-def _harmonic_row(block: Dict[int, complex], total: int, n: int, top: int) -> np.ndarray:
-    """``sum_m C_m kappa_w(total, m, n)`` on the harmonics ``w = -top..top``."""
-    chi = np.zeros(2 * top + 1, dtype=complex)
-    for m, coeff in block.items():
-        w_vals, kap = harmonic_coefficients(KernelIndices(total, m, n, "g", 1))
-        chi[w_vals + top] += coeff * kap
-    return chi
-
-
 def channel_tables(state: TwoModeState, atom: AtomState) -> List[_Channel]:
-    """Per-channel angular-harmonic coefficient tables for the density sum.
+    """Per-channel angular-harmonic coefficient tables for the density sum."""
 
-    The excited side of a pair reads the ground-channel tables of block
-    ``N - 1``: ``harmonic_coefficients`` of ``(N, m + 1, n, "e")`` and of
-    ``(N - 1, m, n - 1, "g")`` are the same sum.
-    """
-    blocks = state.blocks()
-    totals = dressed_totals(state, atom)
-    tables = [(0, 1, 1.0, N, a * _harmonic_row(blocks[N], N, 0, N)) for N, a, _ in totals if a]
-    for N, a, b in totals:
-        for n in range(1, N + 1):
-            ground = a * _harmonic_row(blocks[N], N, n, N) if a else 0.0
-            excited = b * _harmonic_row(blocks[N - 1], N - 1, n - 1, N) if b else 0.0
-            tables += [(n, branch, 0.5, N, ground + branch * excited) for branch in (1, -1)]
-    channels = []
-    for n, branch, weight, top, chi in tables:
-        keep = chi != 0
-        channels.append(_Channel(n, branch, weight, np.arange(-top, top + 1)[keep], chi[keep]))
-    return channels
+    def element(total: int, m: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+        return harmonic_coefficients(KernelIndices(total, m, n, "g", 1))
+
+    harmonics = np.arange(-state.max_total, state.max_total + 1)
+    return [
+        _Channel(n, branch, weight, harmonics[chi != 0], chi[chi != 0])
+        for n, branch, weight, chi in dressed_channels(state, atom, element)
+    ]
 
 
 def _autocorrelation(

@@ -71,7 +71,7 @@ import numpy as np
 
 from .kernel import KernelIndices, MomentumPoint
 from .rotation import d_coeff
-from .states import AtomState, CouplingParams, TwoModeState, dressed_totals
+from .states import AtomState, CouplingParams, TwoModeState, dressed_channels
 
 _TWO_PI = 2.0 * math.pi
 
@@ -526,7 +526,7 @@ class QuadratureOracle:
         return hit
 
     def _rotation_harmonics(self, total: int, m: int, n: int):
-        """``(dhat, k)``: Fourier coefficients of ``d_coeff`` for ``k = -total..total``.
+        """``(k, dhat)``: Fourier coefficients of ``d_coeff`` for ``k = -total..total``.
 
         The element has angular degree <= total, so the DFT of ``2 total + 1``
         uniform samples gives its coefficients exactly.
@@ -537,14 +537,14 @@ class QuadratureOracle:
             size = 2 * total + 1
             samples = d_coeff(total, m, n, np.arange(size) * (_TWO_PI / size))
             dhat = np.fft.fftshift(np.fft.fft(samples)) / size
-            hit = self._harmonics[key] = (dhat, np.arange(-total, total + 1))
+            hit = self._harmonics[key] = (np.arange(-total, total + 1), dhat)
         return hit
 
     # -- public evaluations ---------------------------------------------
 
     def fourier(self, idx: KernelIndices, point: MomentumPoint) -> complex:
         d = idx.delta
-        dhat, k = self._rotation_harmonics(idx.total - d, idx.m - d, idx.n - d)
+        k, dhat = self._rotation_harmonics(idx.total - d, idx.m - d, idx.n - d)
         top = idx.total - d
         reach = _reach(top)
         spec = self._radial_spectrum(point.p_mag, idx.n, idx.branch, reach)
@@ -574,7 +574,7 @@ class QuadratureOracle:
     def _channel_plan(self, state: TwoModeState, atom: AtomState):
         """``(keys, rows, coeffs, weights, k)``: the channel sum of ``w_density``.
 
-        The channels are those of :func:`~crosscavity.states.dressed_totals`.
+        The channels are those of :func:`~crosscavity.states.dressed_channels`.
         Every channel amplitude is a sum of kernel amplitudes over one radial
         table ``(n, branch)``, so it is one row ``coeffs[ch]`` of rotation
         harmonics on ``k = -K..K`` (``K`` the largest block total, the highest
@@ -585,27 +585,12 @@ class QuadratureOracle:
         """
         if self._plan is not None and self._plan[0] == (state, atom):
             return self._plan[1]
-        blocks = state.blocks()
         top = state.max_total
-
-        def harmonics(total: int, n_rot: int) -> np.ndarray:
-            row = np.zeros(2 * top + 1, dtype=complex)
-            for m, coeff in blocks[total].items():
-                dhat, _ = self._rotation_harmonics(total, m, n_rot)
-                row[top - total : top + total + 1] += coeff * dhat
-            return row
-
-        totals = dressed_totals(state, atom)
-        channels = [((0, 1), 1.0, a * harmonics(N, 0)) for N, a, _ in totals if a]
-        for N, a, b in totals:
-            for n in range(1, N + 1):
-                ground = a * harmonics(N, n) if a else 0.0
-                excited = b * harmonics(N - 1, n - 1) if b else 0.0
-                channels += [((n, branch), 0.5, ground + branch * excited) for branch in (1, -1)]
-        keys = list(dict.fromkeys(key for key, _, _ in channels))
-        rows = np.array([keys.index(key) for key, _, _ in channels], dtype=int)
-        coeffs = np.array([row for _, _, row in channels])
-        weights = np.array([weight for _, weight, _ in channels])
+        channels = dressed_channels(state, atom, self._rotation_harmonics)
+        keys = list(dict.fromkeys((n, branch) for n, branch, _, _ in channels))
+        rows = np.array([keys.index((n, branch)) for n, branch, _, _ in channels], dtype=int)
+        coeffs = np.array([row for _, _, _, row in channels])
+        weights = np.array([weight for _, _, weight, _ in channels])
         plan = (keys, rows, coeffs, weights, np.arange(-top, top + 1))
         self._plan = ((state, atom), plan)
         self._plan_at = None

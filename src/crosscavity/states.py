@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
+import numpy as np
+
 SUPPORT_CAP = 32
 PRUNE_THRESHOLD = 1e-15
 _NORM_TOL = 1e-12
@@ -177,6 +179,34 @@ def dressed_totals(state: TwoModeState, atom: AtomState) -> List[Tuple[int, comp
         (n, atom.c_g if n in blocks else 0j, atom.c_e if n - 1 in blocks else 0j)
         for n in sorted(totals)
     ]
+
+
+def dressed_channels(state: TwoModeState, atom: AtomState, element) -> List[Tuple[int, int, float, np.ndarray]]:
+    """The channels of :func:`dressed_totals` as ``[(n, branch, weight, row), ...]``.
+
+    Undeflected channels first, then each total's pairs by ``n``, + first.
+    ``element(N, m, n)`` gives ``(w, coeffs)``, the caller's angular harmonics
+    of rotation element ``(m, n)`` of block ``N``; ``row`` combines them on
+    ``w = -K..K`` (``K`` the largest block total).
+    """
+    blocks = state.blocks()
+    top = state.max_total
+
+    def row(total: int, n: int) -> np.ndarray:
+        out = np.zeros(2 * top + 1, dtype=complex)
+        for m, coeff in blocks[total].items():
+            w, coeffs = element(total, m, n)
+            out[w + top] += coeff * coeffs
+        return out
+
+    totals = dressed_totals(state, atom)
+    channels = [(0, 1, 1.0, a * row(N, 0)) for N, a, _ in totals if a]
+    for N, a, b in totals:
+        for n in range(1, N + 1):
+            ground = a * row(N, n) if a else 0.0
+            excited = b * row(N - 1, n - 1) if b else 0.0
+            channels += [(n, branch, 0.5, ground + branch * excited) for branch in (1, -1)]
+    return channels
 
 
 @dataclass(frozen=True)

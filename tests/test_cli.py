@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crosscavity import MomentumGrid, parse_state_spec, serialize_state_spec, w_grid
+from crosscavity import MomentumGrid, cli, parse_state_spec, serialize_state_spec, w_grid
 from crosscavity.cli import main
 from crosscavity.io import _CHUNK_VALUES, StateSpecError, _format_densities, fmt12, grid_to_csv
 
@@ -313,8 +313,16 @@ def test_cli_parse_error_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("verb", ["simulate", "detect", "validate"])
-def test_cli_unusable_out_is_a_parse_error(tmp_path, capsys, verb):
+def test_cli_unusable_out_is_a_parse_error(tmp_path, capsys, monkeypatch, verb):
     spec = write_spec(tmp_path, NOON2)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    # --out is refused before the grid, the detection or the battery runs
+    for name in ("w_grid", "detect", "kernel_battery"):
+        monkeypatch.setattr(cli, name, no_work)
+
     blocker = tmp_path / "blocker"
     blocker.write_text("keep")
     args = {

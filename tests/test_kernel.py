@@ -1,4 +1,16 @@
+"""Closed-form kernel tests.
+
+The residue triple sum over single ``(ell, s, t)`` terms (``r_factor`` times
+``s_factor``, summed by ``fourier_analytic_direct``) lives here as the
+reference of the grouped kernel path; ``harmonic_coefficients_reference`` is
+the same sum grouped by harmonic in exact rational arithmetic.  Neither shares
+code with the integer Laurent tables of ``kernel.harmonic_coefficients``.
+"""
+
+import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,16 +22,101 @@ from crosscavity import (
     UnsupportedProfileError,
     SlitProfile,
     fourier_analytic,
-    fourier_analytic_direct,
     gamma,
     harmonic_coefficients,
-    r_factor,
-    s_factor,
-    upsilon,
 )
-from crosscavity.rotation import d_coeff
+from crosscavity.rotation import d_coeff, dbar
 
 PARAMS = CouplingParams(20.0, 0.1)
+
+
+def upsilon(v_tilde: int) -> int:
+    """1 for odd negative arguments, 0 otherwise."""
+    return 1 if (v_tilde < 0 and v_tilde % 2 != 0) else 0
+
+
+def _sum_ranges(idx: KernelIndices):
+    d = idx.delta
+    lo = max(0, idx.m + idx.n - idx.total - d)
+    hi = min(idx.m - d, idx.n - d)
+    return d, lo, hi
+
+
+def r_factor(idx: KernelIndices, ell: int, s: int, t: int) -> complex:
+    """Angle-independent coefficient of one (ell, s, t) term of the kernel sum."""
+    d, lo, hi = _sum_ranges(idx)
+    if not lo <= ell <= hi:
+        raise ValueError(f"ell={ell} outside [{lo}, {hi}]")
+    u = idx.m + idx.n - 2 * ell
+    if not 0 <= s <= idx.total - u + d:
+        raise ValueError(f"s={s} outside [0, {idx.total - u + d}]")
+    if not 0 <= t <= u - 2 * d:
+        raise ValueError(f"t={t} outside [0, {u - 2 * d}]")
+    sign = -1.0 if (u - t) % 2 else 1.0
+    denom = 2 ** (idx.total - d) * (1j) ** ((u - 2 * d) % 4)
+    return (
+        sign
+        / denom
+        * math.comb(idx.total - u + d, s)
+        * math.comb(u - 2 * d, t)
+        * dbar(idx.total - d, idx.m - d, idx.n - d, ell)
+    )
+
+
+def s_factor(idx: KernelIndices, s: int, t: int, p_mag: float, params: CouplingParams) -> complex:
+    """Radial shape factor of one kernel term at momentum magnitude ``p_mag``."""
+    d = idx.delta
+    w = 2 * (s + t) - idx.total + d
+    g = gamma(idx.n, params, idx.branch)
+    sig = -complex(np.sqrt(g * g + p_mag**2 + 0j))  # the branch of the kernel module docstring
+    ratio = 0.0j if p_mag == 0.0 else p_mag / (g + sig)
+    ratio_pow = 1.0 + 0j if abs(w) == 0 else ratio ** abs(w)
+    sign = -1.0 if upsilon(w) else 1.0
+    return sign / (math.sqrt(2.0 * math.pi) * params.k_delta_r) * (abs(w) * sig + g) / sig**3 * ratio_pow
+
+
+def fourier_analytic_direct(idx: KernelIndices, point: MomentumPoint, params: CouplingParams) -> complex:
+    """Literal term-by-term triple sum; every (ell, s, t) term is evaluated.
+
+    Reference twin of :func:`fourier_analytic`; no grouping, no caching,
+    correctly rounded (``math.fsum``) accumulation of each component.
+    """
+    d, lo, hi = _sum_ranges(idx)
+    terms = []
+    for ell in range(lo, hi + 1):
+        u = idx.m + idx.n - 2 * ell
+        for s in range(0, idx.total - u + d + 1):
+            for t in range(0, u - 2 * d + 1):
+                w = 2 * (s + t) - idx.total + d
+                prefactor = (1j * cmath.exp(1j * point.p_ang)) ** w
+                terms.append(prefactor * r_factor(idx, ell, s, t) * s_factor(idx, s, t, point.p_mag, params))
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
+
+
+def harmonic_coefficients_reference(idx: KernelIndices):
+    """The triple sum grouped by harmonic ``w = 2(s+t) - N + delta``, accumulated in ``Fraction``."""
+    fact = math.factorial
+    d = idx.delta
+    N, m, n = idx.total, idx.m, idx.n
+    mp, np_, Np = m - d, n - d, N - d
+    acc = {}
+    for ell in range(max(0, m + n - N - d), min(mp, np_) + 1):
+        u = m + n - 2 * ell
+        fr_ell = Fraction(1, fact(ell) * fact(mp - ell) * fact(np_ - ell) * fact(Np - mp - np_ + ell))
+        for s in range(0, N - u + d + 1):
+            comb_s = math.comb(N - u + d, s)
+            for t in range(0, u - 2 * d + 1):
+                w = 2 * (s + t) - N + d
+                term = comb_s * math.comb(u - 2 * d, t) * fr_ell
+                if (n + t + d) % 2:
+                    term = -term
+                acc[w] = acc.get(w, Fraction(0)) + term
+    prefactor = math.sqrt(float(Fraction(fact(mp) * fact(np_) * fact(Np - mp) * fact(Np - np_))))
+    phase = (1j) ** ((2 * d - m - n) % 4)
+    scale = Fraction(1, 2 ** (N - d))
+    w_values = np.array(sorted(acc), dtype=int)
+    coeffs = np.array([phase * prefactor * float(acc[w] * scale) for w in w_values], dtype=complex)
+    return w_values, coeffs
 
 
 def brute_force_r(idx, ell, s, t):
@@ -207,6 +304,30 @@ def test_excited_harmonics_equal_ground_harmonics_of_lower_block():
                 w_g, kap_g = harmonic_coefficients(KernelIndices(total - 1, m - 1, n - 1, "g", 1))
                 assert w_e.tobytes() == w_g.tobytes()
                 assert kap_e.tobytes() == kap_g.tobytes()
+
+
+def _table_indices():
+    """Every ground index with N <= 10, plus 12 random indices at each of N = 16, 24 and 32."""
+    out = [KernelIndices(N, m, n, "g", 1) for N in range(11) for m in range(N + 1) for n in range(N + 1)]
+    rng = random.Random(13)
+    for total in (16, 24, 32):
+        for _ in range(12):
+            eps = rng.choice("ge")
+            d = 1 if eps == "e" else 0
+            out.append(KernelIndices(total, rng.randint(d, total), rng.randint(d, total), eps, 1))
+    return out
+
+
+def test_integer_tables_match_fraction_reference():
+    # same harmonics, same exact zeros, values to rounding
+    indices = _table_indices()
+    assert len(indices) == 542
+    for idx in indices:
+        w_vals, kap = harmonic_coefficients(idx)
+        w_ref, kap_ref = harmonic_coefficients_reference(idx)
+        assert np.array_equal(w_vals, w_ref)
+        assert np.array_equal(kap == 0, kap_ref == 0)
+        assert np.abs(kap - kap_ref).max() <= 1e-15 * np.abs(kap_ref).max()
 
 
 def test_fourier_phase_periodicity():
