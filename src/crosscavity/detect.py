@@ -8,17 +8,29 @@ Two criteria:
 * the maximally entangled two-component family ``(|j, j+4q-2> + |j+4q-2, j>)
   / sqrt(2)`` destructively empties ring ``j + 2q``, detectable as a
   population hole in the ring spectrum.
+
+:func:`detect` reads one state.  :func:`detect_stack` reads a stack of
+states on the same photon blocks, such as a mixing-angle family, in one pass:
+one exact-population contraction per block, and one batch of ring densities
+with every row's argmax refined at once.  ``detect`` is its one-state case,
+so both give the same report for a state.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .distribution import PopulationSpectrum, _density_table, channel_tables, populations
+from .distribution import (
+    PopulationSpectrum,
+    _Channel,
+    _density_table,
+    channel_tables,
+    exact_populations,
+)
 from .quadrature import AccuracyError
 from .states import AtomState, CouplingParams, TwoModeState
 
@@ -48,31 +60,38 @@ class DetectionReport:
 
 
 def _ring_argmax(
-    state: TwoModeState,
-    atom: AtomState,
+    channels: Sequence[_Channel],
     params: CouplingParams,
     ring: float,
     phi_points: int,
-) -> Tuple[float, float]:
-    """(folded, raw) angular argmax of W on the given ring radius."""
-    channels = channel_tables(state, atom)
-    dens = _density_table(channels, np.array([ring]), phi_points, params)[0]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(folded, raw) angular argmax of W on the given ring radius, per state of the stack.
+
+    Both are NaN for a state whose ring density is below 1e-12 everywhere;
+    a NaN or Inf density raises ``AccuracyError``.
+    """
+    dens = _density_table(channels, np.array([ring]), phi_points, params)[:, 0]
     if not np.isfinite(dens).all():
         raise AccuracyError(f"density on ring p = {ring:g} holds NaN or Inf")
-    if float(dens.max()) < 1e-12:
-        raise NoSignalError(f"density below 1e-12 everywhere on ring p = {ring:g}")
-    j = int(np.argmax(dens))
-    y1, y2, y3 = dens[j - 1], dens[j], dens[(j + 1) % phi_points]
+    j = np.argmax(dens, axis=1)
+    rows = np.arange(len(dens))
+    y1, y2, y3 = dens[rows, j - 1], dens[rows, j], dens[rows, (j + 1) % phi_points]
     denom = y1 - 2.0 * y2 + y3
-    offset = 0.0 if denom == 0.0 else 0.5 * (y1 - y3) / denom
+    offset = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=denom != 0.0)
     step = _TWO_PI / phi_points
     raw = (j * step + offset * step) % _TWO_PI
     # the one-photon pattern repeats under rotation by pi and reflects about
     # its own axes; fold the argmax into [0, pi/2] where the concurrence map
     # is single-valued
     t = raw % math.pi
-    folded = min(t, math.pi - t)
+    folded = np.minimum(t, math.pi - t)
+    dark = dens.max(axis=1) < 1e-12
+    folded[dark] = raw[dark] = math.nan
     return folded, raw
+
+
+def _dark_ring(ring: float) -> str:
+    return f"density below 1e-12 everywhere on ring p = {ring:g}"
 
 
 def rotation_angle(
@@ -90,8 +109,10 @@ def rotation_angle(
     ring = math.sqrt(2.0) * params.lam if ring is None else float(ring)
     if ring <= 0.0:
         raise ValueError(f"ring radius must be positive, got {ring!r}")
-    folded, _ = _ring_argmax(state, atom, params, ring, phi_points)
-    return folded
+    folded, _ = _ring_argmax(channel_tables(state, atom), params, ring, phi_points)
+    if math.isnan(folded[0]):
+        raise NoSignalError(_dark_ring(ring))
+    return float(folded[0])
 
 
 def concurrence_from_angle(theta_m: float) -> float:
@@ -157,37 +178,57 @@ def detect(
     The rotation/concurrence readout only applies to one-photon states; for
     anything else it is skipped with a warning.  The spectrum always comes
     from the exact estimator.  A NaN or Inf density on the readout ring
-    raises ``AccuracyError``.
+    raises ``AccuracyError``.  The one-state case of :func:`detect_stack`.
     """
-    warnings: List[str] = []
-    spectrum = populations(state, atom, params, estimator="exact")
-    if any(e.n >= 1 for e in spectrum.entries):
-        flags = missing_rings(spectrum, abs_threshold, rel_threshold)
-    else:
-        flags = []
-        warnings.append("no deflected rings (undeflected ground channel only)")
-    predicted = predicted_missing(state)
+    return detect_stack([state], atom, params, abs_threshold, rel_threshold, ring, phi_points)[0]
 
-    theta_m = theta_raw = conc = None
-    if state.max_total == 1:
-        try:
-            theta_m, theta_raw = _ring_argmax(
-                state, atom, params, ring if ring is not None else math.sqrt(2.0) * params.lam,
-                phi_points,
+
+def detect_stack(
+    states: Sequence[TwoModeState],
+    atom: AtomState,
+    params: CouplingParams,
+    abs_threshold: float = 0.02,
+    rel_threshold: float = 0.1,
+    ring: Optional[float] = None,
+    phi_points: int = 720,
+) -> List[DetectionReport]:
+    """:func:`detect` for each state of a stack on the same photon blocks, in one pass.
+
+    The exact spectra and the ring densities of all states are computed
+    together; missing rings, the predicted hole and the warnings are each
+    state's own.  ``AccuracyError`` for any state's NaN or Inf ring density
+    stops the whole stack.
+    """
+    spectra = exact_populations(states, atom)
+    one_photon = states[0].max_total == 1
+    theta_m = theta_raw = [None] * len(states)
+    if one_photon:
+        ring = math.sqrt(2.0) * params.lam if ring is None else float(ring)
+        folded, raw = _ring_argmax(channel_tables(states, atom), params, ring, phi_points)
+        theta_m = [None if math.isnan(t) else float(t) for t in folded]
+        theta_raw = [None if math.isnan(t) else float(t) for t in raw]
+
+    reports = []
+    for state, spectrum, theta, raw_theta in zip(states, spectra, theta_m, theta_raw):
+        warnings: List[str] = []
+        if any(e.n >= 1 for e in spectrum.entries):
+            flags = missing_rings(spectrum, abs_threshold, rel_threshold)
+        else:
+            flags = []
+            warnings.append("no deflected rings (undeflected ground channel only)")
+        if not one_photon:
+            warnings.append("rotation-angle concurrence readout applies to one-photon states only")
+        elif theta is None:
+            warnings.append(_dark_ring(ring))
+        reports.append(
+            DetectionReport(
+                theta_m=theta,
+                theta_m_raw=raw_theta,
+                concurrence=None if theta is None else concurrence_from_angle(theta),
+                spectrum=spectrum,
+                missing_rings=flags,
+                predicted_missing=predicted_missing(state),
+                warnings=warnings,
             )
-            conc = concurrence_from_angle(theta_m)
-        except NoSignalError as exc:
-            warnings.append(str(exc))
-    else:
-        warnings.append(
-            "rotation-angle concurrence readout applies to one-photon states only"
         )
-    return DetectionReport(
-        theta_m=theta_m,
-        theta_m_raw=theta_raw,
-        concurrence=conc,
-        spectrum=spectrum,
-        missing_rings=flags,
-        predicted_missing=predicted,
-        warnings=warnings,
-    )
+    return reports

@@ -25,6 +25,13 @@ than dropped.  The angular mean of W on that grid is the sum of the
 ``B_Delta`` with ``Delta = 0 mod A`` (``_angular_mean``), so the ring-line
 and window estimators never build the angle table.
 
+The readout helpers take a stack of ``S`` states on the same photon blocks
+(a mixing-angle family, say) in one pass: :func:`channel_tables` stacks the
+channel rows as ``chi`` of shape ``(S, K)`` on shared ``w_values``, so each
+channel's radial factor is built once for the stack, ``B_Delta`` and the
+density gain a leading state axis, and all ring densities go through one
+inverse FFT.  A single state is the stack ``S = 1``.
+
 Ring populations come in three estimators:
 
 ``exact``
@@ -52,7 +59,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +73,14 @@ from .kernel import (
 )
 from .quadrature import AccuracyError, QuadratureOracle, QuadratureSpec, SlitProfile
 from .rotation import d_matrix_table
-from .states import AtomState, CouplingParams, TwoModeState, dressed_channels, dressed_totals
+from .states import (
+    AtomState,
+    CouplingParams,
+    TwoModeState,
+    dressed_channels,
+    dressed_totals,
+    stacked_blocks,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -116,6 +130,8 @@ class PopulationSpectrum:
 
 @dataclass(frozen=True)
 class _Channel:
+    """One dressed channel of a state stack: ``chi[s, k]`` is the harmonic ``w_values[k]`` of state ``s``."""
+
     n: int
     branch: int
     weight: float
@@ -128,17 +144,28 @@ def default_p_max(state: TwoModeState, params: CouplingParams) -> float:
     return math.sqrt(state.max_total + 1) * params.lam + 10.0 / params.k_delta_r
 
 
-def channel_tables(state: TwoModeState, atom: AtomState) -> List[_Channel]:
-    """Per-channel angular-harmonic coefficient tables for the density sum."""
+def channel_tables(
+    states: Union[TwoModeState, Sequence[TwoModeState]], atom: AtomState
+) -> List[_Channel]:
+    """Per-channel angular-harmonic coefficient tables for the density sum.
+
+    ``states`` is one state (the stack ``S = 1``) or a stack on the same
+    photon blocks.  Each channel keeps the harmonics that are non-zero in
+    some state of the stack, so ``chi`` has shape ``(S, K)``; its zeros are
+    harmonics that a state lacks.
+    """
 
     def element(total: int, m: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
         return harmonic_coefficients(KernelIndices(total, m, n, "g", 1))
 
-    harmonics = np.arange(-state.max_total, state.max_total + 1)
-    return [
-        _Channel(n, branch, weight, harmonics[chi != 0], chi[chi != 0])
-        for n, branch, weight, chi in dressed_channels(state, atom, element)
-    ]
+    stack = [states] if isinstance(states, TwoModeState) else list(states)
+    channels = dressed_channels(stack, atom, element)  # refuses an empty or mixed stack
+    harmonics = np.arange(-stack[0].max_total, stack[0].max_total + 1)
+    out = []
+    for n, branch, weight, chi in channels:
+        keep = (chi != 0).any(axis=0)
+        out.append(_Channel(n, branch, weight, harmonics[keep], chi[:, keep]))
+    return out
 
 
 def _autocorrelation(
@@ -147,20 +174,25 @@ def _autocorrelation(
     """Angular Fourier coefficients ``B_Delta(p)`` of W (see module docstring).
 
     Returns ``(deltas, table)``: the harmonic differences ``-2M..2M`` for the
-    largest harmonic ``M`` of any channel, and ``table[k, i] = B_{deltas[k]}(p[i])``.
+    largest harmonic ``M`` of any channel, and ``table[s, k, i] =
+    B_{deltas[k]}(p[i])`` for state ``s`` of the stack.  Each channel's radial
+    factor is built once and serves every state; a harmonic that a state
+    lacks adds exact zeros to its row, even where the radial factor overflows.
     """
     p = np.asarray(p, dtype=float)
     top = max((int(np.abs(ch.w_values).max()) for ch in channels if ch.w_values.size), default=0)
-    table = np.zeros((4 * top + 1, p.size), dtype=complex)
+    stack = channels[0].chi.shape[0] if channels else 1
+    table = np.zeros((stack, 4 * top + 1, p.size), dtype=complex)
     for ch in channels:
         if ch.w_values.size == 0:
             continue
         g = gamma(ch.n, params, ch.branch)
-        amp = ch.chi[:, None] * mode_radial_table(np.abs(ch.w_values), p, g, params.k_delta_r)
+        amp = ch.chi[:, :, None] * mode_radial_table(np.abs(ch.w_values), p, g, params.k_delta_r)
+        amp[ch.chi == 0] = 0.0
         conj = ch.weight * amp.conj()
         for k, w in enumerate(ch.w_values):
             # distinct w_values make these row indices distinct, so += does not drop terms
-            table[w - ch.w_values + 2 * top] += amp[k] * conj
+            table[:, w - ch.w_values + 2 * top] += amp[:, k, None] * conj
     return np.arange(-2 * top, 2 * top + 1), table
 
 
@@ -170,12 +202,12 @@ def _density_table(
     angular_points: int,
     params: CouplingParams,
 ) -> np.ndarray:
-    """W sampled on radii p times the uniform angles ``2 pi j / angular_points``."""
+    """W on radii p times the uniform angles ``2 pi j / angular_points``, shape ``(S, p, angles)``."""
     deltas, table = _autocorrelation(channels, p, params)
-    coeffs = np.zeros((table.shape[1], angular_points), dtype=complex)
-    for delta, row in zip(deltas, table):
-        coeffs[:, delta % angular_points] += row
-    return np.fft.ifft(coeffs, axis=1, norm="forward").real
+    coeffs = np.zeros((table.shape[0], table.shape[2], angular_points), dtype=complex)
+    for k, delta in enumerate(deltas):
+        coeffs[:, :, delta % angular_points] += table[:, k]
+    return np.fft.ifft(coeffs, axis=-1, norm="forward", out=coeffs).real  # in place: no second table
 
 
 def _angular_mean(
@@ -184,13 +216,13 @@ def _angular_mean(
     angular_points: int,
     params: CouplingParams,
 ) -> np.ndarray:
-    """Mean of W over the uniform angles ``2 pi j / angular_points``, per radius.
+    """Mean of W over the uniform angles ``2 pi j / angular_points``, shape ``(S, p)``.
 
     Exactly the mean of ``_density_table`` rows: only the ``B_Delta`` with
     ``Delta = 0 mod angular_points`` survive the average, aliases included.
     """
     deltas, table = _autocorrelation(channels, p, params)
-    return table[deltas % angular_points == 0].sum(axis=0).real
+    return table[:, deltas % angular_points == 0].sum(axis=1).real
 
 
 def w_point(
@@ -202,7 +234,7 @@ def w_point(
     """Momentum density at a single point (closed-form kernels)."""
     channels = channel_tables(state, atom)
     deltas, table = _autocorrelation(channels, np.array([point.p_mag]), params)
-    return float((table[:, 0] @ np.exp(1j * deltas * point.p_ang)).real)
+    return float((table[0, :, 0] @ np.exp(1j * deltas * point.p_ang)).real)
 
 
 def w_grid(
@@ -237,7 +269,7 @@ def w_grid(
 
     if kernel == "analytic":
         _check_profile(profile, params)
-        dens = _density_table(channel_tables(state, atom), p, grid.angular_points, params)
+        dens = _density_table(channel_tables(state, atom), p, grid.angular_points, params)[0]
     elif kernel == "numeric":
         oracle = QuadratureOracle(params, profile, quad)
         dens = np.empty((p.size, phi.size))
@@ -314,22 +346,32 @@ def populations(
     when the radial factors overflow at a huge ``lam``).
     """
     if estimator == "exact":
-        spectrum = _populations_exact(state, atom, theta_points)
-    elif estimator == "eq8":
+        return exact_populations([state], atom, theta_points)[0]
+    if estimator == "eq8":
         spectrum = _populations_ringline(state, atom, params, phi_points)
     elif estimator == "window":
         spectrum = _populations_window(state, atom, params, phi_points, band_points)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
-    if not all(math.isfinite(e.p) for e in spectrum.entries):
-        raise AccuracyError(f"{estimator} ring populations hold NaN or Inf")
+    _check_finite(spectrum)
     return spectrum
 
 
-def _populations_exact(
-    state: TwoModeState, atom: AtomState, theta_points: Optional[int]
-) -> PopulationSpectrum:
-    blocks = state.blocks()
+def _check_finite(spectrum: PopulationSpectrum) -> None:
+    if not all(math.isfinite(e.p) for e in spectrum.entries):
+        raise AccuracyError(f"{spectrum.estimator} ring populations hold NaN or Inf")
+
+
+def exact_populations(
+    states: Sequence[TwoModeState], atom: AtomState, theta_points: Optional[int] = None
+) -> List[PopulationSpectrum]:
+    """The ``exact`` spectrum of each state of a stack on the same photon blocks.
+
+    One contraction per block serves the whole stack; ``theta_points`` is as
+    in :func:`populations`.  Raises ``AccuracyError`` when a population is
+    NaN or Inf.
+    """
+    blocks = stacked_blocks(states)
     top = max(blocks, default=0)
     if theta_points is None:
         theta_points = 2 * top + 1
@@ -339,24 +381,29 @@ def _populations_exact(
             f"theta_points={theta_points} must exceed twice the largest block total ({top})"
         )
     thetas = np.arange(theta_points) * (_TWO_PI / theta_points)
-    # means[N][n]: angular mean of |row n|^2, row n = sum_m C_m d[m, n](theta)
+    # means[N][s, n]: angular mean of |row n|^2 for state s, row n = sum_m C_m d[m, n](theta)
     means = {}
     for n_field, block in blocks.items():
         table = d_matrix_table(n_field, thetas)[list(block)]
-        rows = np.tensordot(np.array(list(block.values())), table, axes=1)
+        rows = np.tensordot(np.array(list(block.values())).T, table, axes=1)
         means[n_field] = np.mean(np.abs(rows) ** 2, axis=-1)
-    # |a|^2 <|row n of block N|^2> on rings 0..N, |b|^2 <|row n-1 of block N-1|^2> on rings 1..N
-    rings: Dict[int, List[float]] = {}
-    for N, a, b in dressed_totals(state, atom):
-        for first, factor, block in ((0, a, N), (1, b, N - 1)):
-            if factor:
-                for n, mean in enumerate(abs(factor) ** 2 * means[block], start=first):
-                    rings.setdefault(n, []).append(float(mean))
-    entries = [SpectrumEntry(n, math.fsum(rings[n]), "exact") for n in sorted(rings)]
-    closure = math.fsum(e.p for e in entries)
-    if abs(closure - 1.0) > 1e-10:
-        raise RuntimeError(f"exact ring weights sum to {closure!r}, expected 1")
-    return PopulationSpectrum(tuple(entries), "exact")
+    totals = dressed_totals(states[0], atom)
+    spectra = []
+    for s in range(len(states)):
+        # |a|^2 <|row n of block N|^2> on rings 0..N, |b|^2 <|row n-1 of block N-1|^2> on rings 1..N
+        rings: Dict[int, List[float]] = {}
+        for N, a, b in totals:
+            for first, factor, block in ((0, a, N), (1, b, N - 1)):
+                if factor:
+                    for n, mean in enumerate(abs(factor) ** 2 * means[block][s], start=first):
+                        rings.setdefault(n, []).append(float(mean))
+        entries = [SpectrumEntry(n, math.fsum(rings[n]), "exact") for n in sorted(rings)]
+        closure = math.fsum(e.p for e in entries)
+        if abs(closure - 1.0) > 1e-10:
+            raise RuntimeError(f"exact ring weights sum to {closure!r}, expected 1")
+        spectra.append(PopulationSpectrum(tuple(entries), "exact"))
+        _check_finite(spectra[-1])
+    return spectra
 
 
 def _populations_ringline(
@@ -367,7 +414,7 @@ def _populations_ringline(
         raise ValueError("no deflected rings for this state/atom combination")
     channels = channel_tables(state, atom)
     radii = np.array([params.lam * math.sqrt(n) for n in range(1, n_max + 1)])
-    raw = radii * _angular_mean(channels, radii, phi_points, params) * _TWO_PI
+    raw = radii * _angular_mean(channels, radii, phi_points, params)[0] * _TWO_PI
     total = float(raw.sum())
     warnings = []
     over = _overlap_warning(params, n_max)
@@ -398,14 +445,14 @@ def _populations_window(
 ) -> PopulationSpectrum:
     n_max = _n_max(state, atom)
     channels = channel_tables(state, atom)
-    entries = []
     ns = ([0] if abs(atom.c_g) > 0 else []) + list(range(1, n_max + 1))
-    for n in ns:
-        lo, hi = _band_edges(n, params)
-        p_band = np.linspace(lo, hi, band_points)
-        angular = _angular_mean(channels, p_band, phi_points, params) * _TWO_PI
-        mass = float(np.trapezoid(angular * p_band, p_band))
-        entries.append(SpectrumEntry(n, mass, "window"))
+    # every band's radii in one array, so the angular mean is one pass
+    p_bands = np.array([np.linspace(*_band_edges(n, params), band_points) for n in ns])
+    angular = _angular_mean(channels, p_bands.ravel(), phi_points, params)[0] * _TWO_PI
+    entries = [
+        SpectrumEntry(n, float(np.trapezoid(band * p_band, p_band)), "window")
+        for n, p_band, band in zip(ns, p_bands, angular.reshape(p_bands.shape))
+    ]
     warnings = []
     over = _overlap_warning(params, n_max)
     if over:

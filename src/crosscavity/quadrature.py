@@ -586,10 +586,10 @@ class QuadratureOracle:
         if self._plan is not None and self._plan[0] == (state, atom):
             return self._plan[1]
         top = state.max_total
-        channels = dressed_channels(state, atom, self._rotation_harmonics)
+        channels = dressed_channels([state], atom, self._rotation_harmonics)
         keys = list(dict.fromkeys((n, branch) for n, branch, _, _ in channels))
         rows = np.array([keys.index((n, branch)) for n, branch, _, _ in channels], dtype=int)
-        coeffs = np.array([row for _, _, _, row in channels])
+        coeffs = np.array([chi[0] for _, _, _, chi in channels])
         weights = np.array([weight for _, _, weight, _ in channels])
         plan = (keys, rows, coeffs, weights, np.arange(-top, top + 1))
         self._plan = ((state, atom), plan)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -181,25 +181,51 @@ def dressed_totals(state: TwoModeState, atom: AtomState) -> List[Tuple[int, comp
     ]
 
 
-def dressed_channels(state: TwoModeState, atom: AtomState, element) -> List[Tuple[int, int, float, np.ndarray]]:
-    """The channels of :func:`dressed_totals` as ``[(n, branch, weight, row), ...]``.
+def stacked_blocks(states: Sequence[TwoModeState]) -> Dict[int, Dict[int, np.ndarray]]:
+    """:meth:`TwoModeState.blocks` of a stack of states: ``{N: {m: C}}``, ``C[s]`` of state ``s``.
 
+    The states must populate the same photon blocks ``N``, so that they share
+    one dressed-channel model; within a block each ``m`` of any state is kept,
+    with amplitude 0 in the states that lack it.  Raises ``ValueError`` for an
+    empty stack or different blocks.
+    """
+    if not states:
+        raise ValueError("a state stack needs at least one state")
+    per_state = [state.blocks() for state in states]
+    totals = list(per_state[0])
+    if any(list(blocks) != totals for blocks in per_state):
+        raise ValueError("the states of one stack must populate the same photon blocks")
+    out: Dict[int, Dict[int, np.ndarray]] = {}
+    for total in totals:
+        ms = sorted({m for blocks in per_state for m in blocks[total]})
+        out[total] = {m: np.array([blocks[total].get(m, 0j) for blocks in per_state], dtype=complex) for m in ms}
+    return out
+
+
+def dressed_channels(
+    states: Sequence[TwoModeState], atom: AtomState, element
+) -> List[Tuple[int, int, float, np.ndarray]]:
+    """The channels of :func:`dressed_totals` as ``[(n, branch, weight, rows), ...]``.
+
+    ``states`` is a stack of ``S`` states on the same photon blocks
+    (:func:`stacked_blocks`); they share the channel list, and ``rows[s]``
+    is the row of state ``s``, shape ``(S, 2K + 1)``.
     Undeflected channels first, then each total's pairs by ``n``, + first.
     ``element(N, m, n)`` gives ``(w, coeffs)``, the caller's angular harmonics
-    of rotation element ``(m, n)`` of block ``N``; ``row`` combines them on
+    of rotation element ``(m, n)`` of block ``N``; a row combines them on
     ``w = -K..K`` (``K`` the largest block total).
     """
-    blocks = state.blocks()
-    top = state.max_total
+    blocks = stacked_blocks(states)
+    top = max(blocks, default=0)
 
     def row(total: int, n: int) -> np.ndarray:
-        out = np.zeros(2 * top + 1, dtype=complex)
+        out = np.zeros((len(states), 2 * top + 1), dtype=complex)
         for m, coeff in blocks[total].items():
             w, coeffs = element(total, m, n)
-            out[w + top] += coeff * coeffs
+            out[:, w + top] += coeff[:, None] * coeffs
         return out
 
-    totals = dressed_totals(state, atom)
+    totals = dressed_totals(states[0], atom)
     channels = [(0, 1, 1.0, a * row(N, 0)) for N, a, _ in totals if a]
     for N, a, b in totals:
         for n in range(1, N + 1):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crosscavity import MomentumGrid, cli, parse_state_spec, serialize_state_spec, w_grid
+from crosscavity import MomentumGrid, cli, distribution, parse_state_spec, serialize_state_spec, w_grid
 from crosscavity.cli import main
 from crosscavity.io import _CHUNK_VALUES, StateSpecError, _format_densities, fmt12, grid_to_csv
 
@@ -293,6 +293,26 @@ def test_cli_sweep_one_photon_readout_columns(tmp_path):
         assert abs(conc - abs(math.sin(2 * alpha))) <= 0.02
         assert abs(p1 - 0.5) <= 1e-9 and abs(p2 - 0.5) <= 1e-9
     assert all(b >= a for a, b in zip(thetas, thetas[1:]))  # monotone readout
+
+
+def test_cli_sweep_builds_each_ring_table_once(tmp_path, monkeypatch):
+    # an excited atom on one photon has four dressed channels (rings 1 and 2,
+    # two branches each); the per-angle loop built their tables once per angle
+    calls = []
+    original = distribution.mode_radial_table
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(distribution, "mode_radial_table", counting)
+    spec = write_spec(
+        tmp_path,
+        {"builder": {"name": "one_photon", "args": [0.0]}, "params": {"lambda": 20, "k_delta_r": 0.1}},
+    )
+    assert run_cli(["sweep", "--state", spec, "--sweep", f"0:{math.pi / 2}:33", "--out", tmp_path / "sw"]) == 0
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
 
 
 def test_cli_sweep_requires_swept_builder(tmp_path):

@@ -277,8 +277,11 @@ def test_fourier_direct_equals_grouped():
 
 
 def test_harmonics_match_fft_of_rotation_element():
-    # grouped coefficients are the Fourier series of the attached D element
-    for total, m, n, eps in [(1, 1, 1, "e"), (3, 2, 1, "g"), (4, 3, 2, "e"), (2, 2, 1, "g")]:
+    # grouped coefficients are the Fourier series of the attached D element;
+    # the last three have odd m' = m - delta, where the (-1)^m' sign shows
+    cases = [(1, 1, 1, "e"), (3, 2, 1, "g"), (4, 3, 2, "e"), (2, 2, 1, "g")]
+    cases += [(2, 1, 0, "g"), (3, 1, 2, "g"), (3, 2, 2, "e")]
+    for total, m, n, eps in cases:
         idx = KernelIndices(total, m, n, eps, 1)
         w_vals, coeffs = harmonic_coefficients(idx)
         d = idx.delta
