@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--full",
         action="store_true",
-        help="run the full battery (33600 comparisons, about 5 s on a 2-vCPU machine)",
+        help="run the full battery (33600 comparisons, about 1.5 s on a 2-vCPU machine)",
     )
     p.set_defaults(run=_cmd_validate)
 

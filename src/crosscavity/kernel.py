@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -191,12 +191,27 @@ def _check_profile(profile, params: CouplingParams) -> None:
 
 
 def fourier_analytic(
-    idx: KernelIndices, point: MomentumPoint, params: CouplingParams, profile=None
-) -> complex:
-    """Closed-form kernel amplitude at one momentum point (cached-harmonic path)."""
+    idx: KernelIndices,
+    point: Union[MomentumPoint, Sequence[MomentumPoint]],
+    params: CouplingParams,
+    profile=None,
+) -> Union[complex, np.ndarray]:
+    """Closed-form kernel amplitude at one momentum point or at each of a sequence.
+
+    One ``MomentumPoint`` gives a ``complex``; a sequence gives a complex
+    array, one entry per point, from one ``mode_radial_table`` over all the
+    radii and a ``(points, harmonics)`` phase table.  Each entry is summed
+    over the contiguous harmonic axis, so it equals the one-point value bit
+    for bit.
+    """
     _check_profile(profile, params)
+    single = isinstance(point, MomentumPoint)
+    points = [point] if single else point
+    p_mag = np.array([pt.p_mag for pt in points], dtype=float)
+    p_ang = np.array([pt.p_ang for pt in points], dtype=float)
     w_values, coeffs = harmonic_coefficients(idx)
     g = gamma(idx.n, params, idx.branch)
-    radial = mode_radial_table(np.abs(w_values), np.array([point.p_mag]), g, params.k_delta_r)[:, 0]
-    phases = np.exp(1j * w_values * point.p_ang)
-    return complex(np.sum(coeffs * phases * radial))
+    radial = mode_radial_table(np.abs(w_values), p_mag, g, params.k_delta_r)
+    phases = np.exp(1j * np.outer(p_ang, w_values))
+    values = (coeffs * phases * radial.T).sum(axis=-1)
+    return complex(values[0]) if single else values

@@ -25,6 +25,13 @@ class InvalidStateError(ValueError):
     """Raised for states that violate a structural invariant."""
 
 
+def _ldexp_or_inf(x: float, exponent: int) -> float:
+    try:
+        return math.ldexp(x, exponent)
+    except OverflowError:
+        return math.inf
+
+
 class TwoModeState:
     """Immutable sparse two-mode Fock superposition.
 
@@ -87,18 +94,12 @@ class TwoModeState:
     def norm_squared(self) -> float:
         """Sum of the squared moduli; ``inf`` beyond the float range."""
         scaled, exponent = self._scaled_norm_squared()
-        try:
-            return math.ldexp(scaled, 2 * exponent)
-        except OverflowError:
-            return math.inf
+        return _ldexp_or_inf(scaled, 2 * exponent)
 
     def norm(self) -> float:
         """Euclidean norm; ``inf`` only when it exceeds the float range itself."""
         scaled, exponent = self._scaled_norm_squared()
-        try:
-            return math.ldexp(math.sqrt(scaled), exponent)
-        except OverflowError:
-            return math.inf
+        return _ldexp_or_inf(math.sqrt(scaled), exponent)
 
     def blocks(self) -> Dict[int, Dict[int, complex]]:
         """Group amplitudes by total photon number: ``{N: {m: C_{m, N-m}}}``."""
@@ -256,12 +257,13 @@ def normalize(state: TwoModeState) -> TwoModeState:
     Already-normalized states (norm within 1e-14 of one) are returned
     unchanged so that normalization is exactly idempotent.
     """
-    norm = state.norm()
+    scaled, exponent = state._scaled_norm_squared()  # one pass for both norms
+    norm = _ldexp_or_inf(math.sqrt(scaled), exponent)
     if norm == 0.0:
         raise InvalidStateError("cannot normalize a state with no nonzero amplitude")
     if norm == math.inf:
         raise InvalidStateError("state norm overflows a float")
-    if abs(state.norm_squared() - 1.0) < 1e-14:
+    if abs(_ldexp_or_inf(scaled, 2 * exponent) - 1.0) < 1e-14:
         return state
     factor = 1.0 / norm
     return TwoModeState(

@@ -3,6 +3,9 @@
 Runs every kernel index combination up to a given total excitation through
 both evaluation routes at randomly sampled momentum points and reports the
 worst disagreement against a relative tolerance with an absolute floor.
+The closed form runs once per index over all of a block's points (one radial
+table each); the quadrature oracle runs point by point, every index at one
+point before the next, so it builds its radial rules once per point.
 """
 
 from __future__ import annotations
@@ -73,8 +76,10 @@ def kernel_battery(
 
     The tolerance per comparison is ``rtol * max(|F_numeric|, floor)``.
     Points are drawn uniformly with ``p in [0, 2 sqrt(N) lam]`` per block
-    and shared across all index tuples of that block, which lets the oracle
-    reuse its radial tables.
+    and shared across all index tuples of that block.  The analytic side is
+    one ``fourier_analytic`` call per index over the block's points; the
+    oracle is called point-major, which lets it reuse its radial tables.
+    Records come point-major, indices in ``_tuple_set`` order.
     """
     records: List[BatteryRecord] = []
     for lam in lams:
@@ -86,12 +91,12 @@ def kernel_battery(
             for total in range(1, max_total + 1):
                 p_vals = rng.uniform(0.0, 2.0 * math.sqrt(total) * lam, size=points)
                 a_vals = rng.uniform(0.0, 2.0 * math.pi, size=points)
-                block_tuples = [t for t in tuples if t[0] == total]
-                for p, a in zip(p_vals, a_vals):
-                    point = MomentumPoint(float(p), float(a))
-                    for total_, m, n, eps, branch in block_tuples:
-                        idx = KernelIndices(total_, m, n, eps, branch)
-                        fa = fourier_analytic(idx, point, params)
+                block = [KernelIndices(*t) for t in tuples if t[0] == total]
+                block_points = [MomentumPoint(float(p), float(a)) for p, a in zip(p_vals, a_vals)]
+                analytic = [fourier_analytic(idx, block_points, params) for idx in block]
+                for j, point in enumerate(block_points):
+                    for idx, fa_row in zip(block, analytic):
+                        fa = complex(fa_row[j])
                         fn = oracle.fourier(idx, point)
                         err = abs(fa - fn)
                         tol = rtol * max(abs(fn), floor)

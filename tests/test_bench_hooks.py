@@ -8,7 +8,7 @@ package.
 import importlib
 from pathlib import Path
 
-from crosscavity import AtomState, CouplingParams, GridSpec, distribution, noon_state
+from crosscavity import AtomState, CouplingParams, GridSpec, distribution, noon_state, validation
 from crosscavity.quadrature import QuadratureOracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -49,3 +49,22 @@ def test_tracer_wraps_every_hook_and_restores_the_originals(monkeypatch):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_traced_quick_battery_reaches_both_kernel_routes(monkeypatch):
+    # the oracle workload requires these layers to be non-zero
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    try:
+        tracer.install()
+        summary = validation.kernel_battery(lams=(20.0,), kdrs=(0.1,), max_total=2, points=8)
+    finally:
+        tracer.remove()
+    assert len(summary.records) == 288
+    names = [span[0] for span in tracer.spans]
+    assert names.count("validation.kernel_battery") == 1
+    assert names.count("kernel.fourier_analytic") == 36
+    assert names.count("kernel.mode_radial_table") == 36
+    assert names.count("quadrature.fourier") == 288

@@ -25,6 +25,8 @@ from crosscavity import (
     gamma,
     harmonic_coefficients,
 )
+from crosscavity.kernel import mode_radial_table
+from crosscavity.validation import _tuple_set
 from crosscavity.rotation import d_coeff, dbar
 
 PARAMS = CouplingParams(20.0, 0.1)
@@ -370,3 +372,50 @@ def test_ground_channel_kernel_at_zero_momentum():
     idx = KernelIndices(1, 1, 1, "g", 1)
     val = fourier_analytic(idx, MomentumPoint(0.0, 0.9), PARAMS)
     assert abs(val) < 1e-15
+
+
+def fourier_analytic_one_point(idx: KernelIndices, point: MomentumPoint, params: CouplingParams) -> complex:
+    """The one-point evaluation as a one-dimensional sum over the harmonics."""
+    w_values, coeffs = harmonic_coefficients(idx)
+    g = gamma(idx.n, params, idx.branch)
+    radial = mode_radial_table(np.abs(w_values), np.array([point.p_mag]), g, params.k_delta_r)[:, 0]
+    phases = np.exp(1j * w_values * point.p_ang)
+    return complex(np.sum(coeffs * phases * radial))
+
+
+def _seeded_indices_and_points():
+    rng = np.random.default_rng(1606)
+    indices = [KernelIndices(0, 0, 0, "g", b) for b in (1, -1)] + [KernelIndices(*t) for t in _tuple_set(4)]
+    p_vals = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 4.0 * PARAMS.lam, size=14)])
+    a_vals = np.concatenate([[0.0, 1.3], rng.uniform(0.0, 2.0 * math.pi, size=14)])
+    points = [MomentumPoint(float(p), float(a)) for p, a in zip(p_vals, a_vals)]
+    return indices, points
+
+
+def test_fourier_analytic_sequence_equals_one_point_calls():
+    indices, points = _seeded_indices_and_points()
+    assert {idx.epsilon for idx in indices} == {"g", "e"}
+    assert {idx.branch for idx in indices} == {1, -1}
+    for params in (PARAMS, CouplingParams(5.0, 0.3)):
+        for idx in indices:
+            values = fourier_analytic(idx, points, params)
+            assert isinstance(values, np.ndarray) and values.shape == (len(points),)
+            one_point = [fourier_analytic(idx, pt, params) for pt in points]
+            assert all(type(v) is complex for v in one_point)
+            assert values.tolist() == one_point
+            assert one_point == [fourier_analytic_one_point(idx, pt, params) for pt in points]
+            # a tuple of points works as well as a list
+            assert fourier_analytic(idx, tuple(points[:3]), params).tolist() == one_point[:3]
+
+
+def test_fourier_analytic_empty_sequence_and_profile_check():
+    idx = KernelIndices(2, 1, 2, "g", -1)
+    empty = fourier_analytic(idx, [], PARAMS)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == complex
+    rho = np.linspace(0.0, 8.0, 200)
+    tab = SlitProfile.tabulated(rho, np.exp(-rho / 0.2))
+    for profile in (tab, SlitProfile.exponential(0.2)):
+        with pytest.raises(UnsupportedProfileError):
+            fourier_analytic(idx, [MomentumPoint(3.0, 0.0), MomentumPoint(1.0, 2.0)], PARAMS, profile=profile)
+        with pytest.raises(UnsupportedProfileError):
+            fourier_analytic(idx, [], PARAMS, profile=profile)

@@ -93,6 +93,71 @@ def test_normalize_idempotent_exactly():
         assert dict(once.amplitudes) == dict(twice.amplitudes)
 
 
+
+def normalize_two_pass(state):
+    """``normalize`` with separate ``norm`` and ``norm_squared`` passes."""
+    norm = state.norm()
+    if norm == 0.0:
+        raise InvalidStateError("cannot normalize a state with no nonzero amplitude")
+    if norm == math.inf:
+        raise InvalidStateError("state norm overflows a float")
+    if abs(state.norm_squared() - 1.0) < 1e-14:
+        return state
+    factor = 1.0 / norm
+    return TwoModeState({key: c * factor for key, c in state.amplitudes.items()}, tags=state.tags)
+
+
+def _outcome(fn, state):
+    try:
+        out = fn(state)
+    except InvalidStateError as exc:
+        return ("refused", str(exc))
+    return ("ok", out is state, dict(out.amplitudes), out.tags)
+
+
+def test_normalize_equals_the_two_pass_version():
+    rng = np.random.default_rng(1607)
+    cases = []
+    for modulus in (1e-300, 5e-324, 1e154, 1e200, 1e307):
+        cases.append({(1, 0): modulus})
+        cases.append({(0, 1): 3 * modulus, (1, 0): -4j * modulus})
+        cases.append({(m, 2): complex(*rng.normal(size=2)) * modulus for m in range(5)})
+    for _ in range(40):  # mixed magnitudes, many decades apart
+        cases.append({(m, 0): complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-320, 308) for m in range(4)})
+    cases += [
+        {(1, 0): 1.5e308, (0, 1): 1.5e308},  # norm overflows
+        {(1, 1): 0.0},  # zero norm
+        {(0, 1): math.sqrt(0.5), (1, 0): math.sqrt(0.5)},  # already normalized
+        dict(normalize(TwoModeState({(0, 1): 0.3 + 0.4j, (5, 2): -1.1})).amplitudes),
+    ]
+    seen = set()
+    for amps in cases:
+        state = TwoModeState(amps, prune=0.0)
+        got, want = _outcome(normalize, state), _outcome(normalize_two_pass, state)
+        assert got == want
+        seen.add(got[:2])
+    assert {("ok", False), ("ok", True), ("refused", "state norm overflows a float"),
+            ("refused", "cannot normalize a state with no nonzero amplitude")} <= seen
+
+
+def test_normalize_makes_one_norm_pass(monkeypatch):
+    passes = []
+    original = TwoModeState._scaled_norm_squared
+
+    def counting(self):
+        passes.append(self)
+        return original(self)
+
+    monkeypatch.setattr(TwoModeState, "_scaled_norm_squared", counting)
+    state = TwoModeState({(0, 1): 2.0, (1, 0): 1.0j})
+    normalize(state)
+    assert passes == [state]
+    passes.clear()
+    unit = TwoModeState({(1, 0): 1.0})
+    assert normalize(unit) is unit
+    assert passes == [unit]
+
+
 def test_builders_are_normalized():
     for state in (
         one_photon_state(0.3),
