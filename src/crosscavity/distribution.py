@@ -249,8 +249,11 @@ def w_grid(
     """Fill a polar grid with the momentum density.
 
     ``kernel="analytic"`` uses the closed form (exponential profile only);
-    ``kernel="numeric"`` routes every point through the quadrature oracle,
-    which accepts arbitrary profiles but is orders of magnitude slower.
+    ``kernel="numeric"`` hands all grid points, row-major, to one
+    :meth:`~crosscavity.quadrature.QuadratureOracle.w_density` call, which
+    transforms the radial tables of all radii together and contracts every
+    angle of a radius at once; it accepts arbitrary profiles but is far
+    slower than the closed form.
     """
     grid = grid or GridSpec()
     p_max = grid.p_max if grid.p_max is not None else default_p_max(state, params)
@@ -271,11 +274,8 @@ def w_grid(
         _check_profile(profile, params)
         dens = _density_table(channel_tables(state, atom), p, grid.angular_points, params)[0]
     elif kernel == "numeric":
-        oracle = QuadratureOracle(params, profile, quad)
-        dens = np.empty((p.size, phi.size))
-        for i, pv in enumerate(p):
-            for j, av in enumerate(phi):
-                dens[i, j] = oracle.w_density(state, atom, MomentumPoint(pv, av))
+        points = [MomentumPoint(pv, av) for pv in p for av in phi]
+        dens = QuadratureOracle(params, profile, quad).w_density(state, atom, points).reshape(p.size, phi.size)
     else:
         raise ValueError(f"unknown kernel mode {kernel!r}")
 

@@ -22,15 +22,25 @@ P/Q series for ``J_0`` and ``J_1`` plus forward recurrence for ``x >=
 max(25, K)`` (Abramowitz and Stegun 9.2.5), Miller's backward recurrence below
 (A&S 9.12), written as the continued fraction ``r_k = J_k / J_{k-1} = x / (2k -
 x r_{k+1})`` so that nothing overflows, and normalized by ``J_0 + 2 sum_k
-J_{2k} = 1``.  Arguments are taken in fixed-size chunks, so the
-recurrence's ratio rows stay a few MiB whatever the size of the rule.
+J_{2k} = 1``.  The recurrence always starts from the order that serves
+``max(25, K)``, whatever the other arguments of the call, so each value
+depends on its own argument alone and a batch of rules may share one call.
+Arguments are taken in fixed-size chunks, so the recurrence's ratio rows stay
+a few MiB whatever the size of the rule.
 
 Each panel count and Gauss-Legendre order keeps its nodes and amplitudes
 ``w rho g(rho)``; each rule at momentum ``p`` adds the rows ``J_k(rho p)``
 and the factors of ``exp(-i rho p cos theta)`` at a few check angles.  One
 transform is a product of these rows with ``amp exp(i rho s)``.  The error
 estimate compares the order-24 rule with its order-12 companion at the check
-angles, and the panel count doubles until it meets the radial tolerance.
+angles, and each magnitude's panel count doubles until it meets the radial
+tolerance.  A transform takes a batch of magnitudes: those at one panel count
+are checked by one matrix product over their check columns side by side, the
+Bessel rows of all the accepted rules come from one :func:`bessel_j` call,
+and the batch keeps them, so the ``K + 1`` tables at the same magnitudes
+share them.  Every magnitude is refined and evaluated exactly as it would be
+alone, so a batch changes no value; batches are cut to fit
+``MAX_RULE_ENTRIES``.
 For the exponential profile the check angles are ``theta = 0`` and ``pi``,
 where ``|p cos theta - s|`` is largest and the integrand oscillates fastest;
 a tabulated profile, whose kinks leave errors that need not grow with that
@@ -47,7 +57,9 @@ equals ``sum_k dhat_k exp(i k phi) Rf[-k]``.  :class:`QuadratureOracle` keeps
 the spectra per radial table and the ``2N+1`` coefficients ``dhat`` per
 rotation index, sampled from ``d_coeff`` on ``2N+1`` angles, and each
 amplitude is one short contraction, which makes full validation batteries
-tractable.
+tractable.  Numeric grids go radius by radius: ``w_density`` takes all the
+points of a grid, transforms each table at all their magnitudes at once and
+contracts every angle of a radius in one product.
 
 Two more exact identities serve the density.  Every channel amplitude of
 ``w_density`` is a fixed linear combination of kernel amplitudes on one
@@ -278,13 +290,15 @@ def _bessel_miller(kmax: int, x: np.ndarray) -> np.ndarray:
     """``J_0..J_kmax`` by Miller's backward recurrence of the ratios ``r_k = J_k / J_{k-1}``.
 
     ``r_k = x / (2k - x r_{k+1})`` runs down from ``r = 0`` at an order well
-    past ``max(x, kmax)``, as ``x r_k = x^2 / (2k - x r_{k+1})``; the products
-    ``r_1 ... r_k = J_k / J_0`` stay below ``1 / |J_0|``, and ``1 = J_0 (1 + 2
+    past ``max(25, kmax)``, which bounds every argument this routine serves,
+    as ``x r_k = x^2 / (2k - x r_{k+1})``; starting there whatever the
+    arguments makes each value a function of its own argument alone.  The
+    products ``r_1 ... r_k = J_k / J_0`` stay below ``1 / |J_0|``, and ``1 = J_0 (1 + 2
     sum_m J_{2m} / J_0)`` fixes ``J_0``.  A denominator that rounds to exactly
     zero (``x`` within an ulp of a zero of ``J_{k-1}``) leaves an infinite
     ratio; those ``x`` are moved by one ulp.
     """
-    start = _miller_start(max(float(kmax), float(np.max(x))))
+    start = _miller_start(max(float(kmax), _HANKEL_X))
     ratios = np.zeros((start + 2, x.size))  # row k holds x r_k, then r_k; row start + 1 stays 0
     square = x * x
     den = np.empty_like(x)
@@ -349,19 +363,56 @@ def _reach(k: int) -> int:
     return reach
 
 
+@lru_cache(maxsize=16)
+def _minus_sign(reach: int) -> np.ndarray:
+    """``(-1)^k`` on ``k = -reach..reach``: ``Rf_-[k] = (-1)^k conj(Rf_+[k])``."""
+    sign = np.where(np.arange(-reach, reach + 1) % 2, -1.0, 1.0)
+    sign.flags.writeable = False
+    return sign
+
+
+def _rule_entries(n_panels: int, order: int, reach: int, n_angles: int, count: int = 1) -> int:
+    """Float64 entries that the radial rules of ``count`` magnitudes hold, besides the Bessel scratch.
+
+    Per node of each magnitude, the Bessel rows ``J_0..J_reach`` and
+    ``_NODE_WORK`` work rows; per panel and check angle (``n_angles`` over all
+    the magnitudes), ``_ANGLE_WORK`` for the complex edge factors.
+    """
+    return count * n_panels * order * (reach + 1 + _NODE_WORK) + n_panels * n_angles * _ANGLE_WORK
+
+
+def _fitting_runs(entries, nodes, reach: int):
+    """Split items into consecutive runs that fit ``MAX_RULE_ENTRIES``.
+
+    A run holds its items' ``entries`` plus the Bessel scratch of their
+    ``nodes``; an item that does not fit alone forms a run of its own (and is
+    refused where its rule is built).
+    """
+    runs, start, held, count = [], 0, 0, 0
+    for i, (size, n) in enumerate(zip(entries, nodes)):
+        if i > start and held + size + _bessel_scratch(reach, count + n) > MAX_RULE_ENTRIES:
+            runs.append(slice(start, i))
+            start, held, count = i, 0, 0
+        held += size
+        count += n
+    if len(entries):
+        runs.append(slice(start, len(entries)))
+    return runs
+
+
 class QuadratureOracle:
     """Batch evaluator for the direct-quadrature kernel.
 
-    Caches the spectra of the radial tables by (p_mag, n, branch, reach), the
-    Fourier coefficients of each rotation element by (total, m, n) and, for
-    the current momentum magnitude, the radial rules by (panel count, order),
-    sharing them across kernel indices and momentum angles.  Only plus-branch
-    tables are transformed: the minus-branch spectrum is the plus-branch one
-    conjugated, ``Rf_-[k] = (-1)^k conj(Rf_+[k])``.  ``w_density`` keeps the
-    channel plan of the last ``(state, atom)`` (per channel, the rotation
-    harmonics of its kernel amplitudes summed with the state and atom
-    coefficients) and that plan times the spectra at the last momentum
-    magnitude, so one point is one contraction.
+    Caches the spectra of the radial tables by (p_mag, n, reach) (plus
+    branch only: the minus-branch spectrum is the plus-branch one conjugated,
+    ``Rf_-[k] = (-1)^k conj(Rf_+[k])``), the Fourier coefficients of each
+    rotation element by (total, m, n), the Bessel rows of the current batch
+    of momentum magnitudes by (p_mag, panel count, reach) and the check
+    factors of the last run of magnitudes checked together, sharing them
+    across kernel indices, radial tables and momentum angles.  ``w_density``
+    keeps the channel plan of the last ``(state, atom)``: per channel, the
+    rotation harmonics of its kernel amplitudes summed with the state and atom
+    coefficients.
     """
 
     def __init__(
@@ -377,15 +428,16 @@ class QuadratureOracle:
         rho = np.linspace(0.0, self._rho_max, 4001)
         # absolute scale for radial tolerances: total amplitude mass
         self._mass = float(np.trapezoid(rho * self.profile.density(rho), rho))
-        self._radial: Dict[Tuple[float, int, int, int], np.ndarray] = {}
+        self._radial: Dict[Tuple[float, int, int], np.ndarray] = {}
         self._harmonics: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray]] = {}
         self._panel_cache: Dict[Tuple[int, int], tuple] = {}
         self._rules: Dict[Tuple[int, int], tuple] = {}
         self._edges: Dict[int, np.ndarray] = {}
-        self._rules_p: Optional[float] = None
-        self._angles: Optional[np.ndarray] = None
+        self._rules_at: Optional[tuple] = None
+        self._columns: Optional[np.ndarray] = None
+        self._bessel: Dict[Tuple[float, int, int], np.ndarray] = {}
+        self._batch: Optional[tuple] = None
         self._plan = None
-        self._plan_at = None
 
     # -- radial rules ----------------------------------------------------
 
@@ -429,101 +481,173 @@ class QuadratureOracle:
             hit = self._panel_cache[n_panels, order] = (nodes, amp, starts, offsets)
         return hit
 
-    def _rule(self, p_mag: float, n_panels: int, order: int, reach: int):
-        """``(edge, offset, bessel)`` of one radial rule at ``p_mag``.
+    def _rule(self, p_mag, n_panels: int, order: int, reach: int):
+        """``(edge, offset)``: check factors of one radial rule at the magnitudes ``p_mag``.
 
         ``exp(-i rho c)`` at the check angles' ``c = p cos theta`` is the
-        ``(P, angles)`` edge factor ``exp(-i e_j c)``, shared by both orders,
-        times the ``(L, angles)`` offset factor ``exp(-i o_l c)``.  ``bessel``
-        maps a reach to the rows ``J_0..J_reach(rho p)``, filled by the
-        transform that first reads them.  Rules of the last momentum magnitude
-        are kept.  A rule whose transform would hold more than
-        ``MAX_RULE_ENTRIES`` entries (Bessel rows and work rows per node, edge
-        factors per panel and check angle, Bessel scratch) raises
+        ``(P, columns)`` edge factor ``exp(-i e_j c)``, shared by both orders,
+        times the ``(L, columns)`` offset factor ``exp(-i o_l c)``, with the
+        check columns of every magnitude side by side in order, so that one
+        matrix product checks them all.  Rules of the last run of magnitudes
+        are kept.  A run whose rules would hold more than ``MAX_RULE_ENTRIES``
+        entries (:func:`_rule_entries` plus the Bessel scratch) raises
         ``AccuracyError`` before anything is allocated.
         """
-        if self._rules_p != p_mag:
+        run = tuple(np.ravel(p_mag).tolist())
+        if self._rules_at != run:
             self._rules.clear()
             self._edges.clear()
-            self._rules_p = p_mag
-            self._angles = self._check_angles(p_mag)
-        nodes = n_panels * order
-        entries = (
-            nodes * (reach + 1 + _NODE_WORK)
-            + n_panels * self._angles.size * _ANGLE_WORK
-            + _bessel_scratch(reach, nodes)
-        )
+            self._rules_at = run
+            self._columns = np.concatenate([p * np.cos(self._check_angles(p)) for p in run])
+        n_angles = self._columns.size
+        entries = _rule_entries(n_panels, order, reach, n_angles, len(run))
+        entries += _bessel_scratch(reach, len(run) * n_panels * order)
         if entries > MAX_RULE_ENTRIES:
             raise AccuracyError(
                 f"radial rule of {n_panels} panels x {order} nodes, {reach + 1} Bessel rows and "
-                f"{self._angles.size} check angles at p = {p_mag:.6g} exceeds {MAX_RULE_ENTRIES} rule entries"
+                f"{n_angles} check angles at p = {run[0]:.6g} exceeds {MAX_RULE_ENTRIES} rule entries"
             )
         rule = self._rules.get((n_panels, order))
         if rule is None:
             _, _, starts, offsets = self._panels(n_panels, order)
-            c = p_mag * np.cos(self._angles)
             edge = self._edges.get(n_panels)
             if edge is None:
-                edge = self._edges[n_panels] = np.exp(-1j * np.outer(starts, c))
-            rule = self._rules[n_panels, order] = (edge, np.exp(-1j * np.outer(offsets, c)), {})
+                edge = self._edges[n_panels] = np.exp(-1j * np.outer(starts, self._columns))
+            rule = self._rules[n_panels, order] = (edge, np.exp(-1j * np.outer(offsets, self._columns)))
         return rule
 
-    def _radial_transform(self, p_mag: float, shift: float, reach: int):
+    def _radial_transform(self, p_mag, shift: float, reach: int):
         """Harmonics ``k = -reach..reach`` of ``R(theta) = Int rho g exp(-i rho [p cos theta - shift]) drho``.
 
-        Returns the spectrum and the companion-rule error bound over the check
-        angles (:meth:`_check_angles`); doubles the panel count until the
-        bound meets the radial tolerance.
+        ``p_mag`` is one magnitude or an array of them.  Returns the spectra
+        (one row per magnitude) and the companion-rule error bounds over the
+        check angles (:meth:`_check_angles`).  Each magnitude's panel count
+        doubles until its bound meets the radial tolerance or the refinements
+        run out, and the order-24 rule of its last panel count gives its
+        spectrum, as the result or the estimate.  The magnitudes at one panel
+        count are checked together, in consecutive runs that fit
+        ``MAX_RULE_ENTRIES``; the Bessel rows of the rules not yet held come
+        from one :func:`bessel_j` call and are kept for this batch of
+        magnitudes, so that its other tables share them.
         """
+        batch = tuple(np.ravel(p_mag).tolist())
+        if self._batch != batch:
+            self._bessel.clear()
+            self._batch = batch
         tol = self.quad.radial_rel_tol * self._mass
-        n_panels = self._panels_for(p_mag + abs(shift))
-        for _ in range(self.quad.max_radial_refinements + 1):
-            checks = []
-            for order in _GL_ORDERS:
-                edge, offset, bessel = self._rule(p_mag, n_panels, order, reach)
-                nodes, amp, starts, offsets = self._panels(n_panels, order)
-                # exp(i rho s) = exp(i e_j s) exp(i o_l s), panel by panel
-                phase = np.exp(1j * shift * starts)[:, None] * np.exp(1j * shift * offsets)
-                weighted = amp.reshape(n_panels, order) * phase
-                checks.append(np.einsum("jt,jt->t", edge, weighted @ offset))
-            err = float(np.max(np.abs(checks[1] - checks[0])))
-            if err <= tol:
+        order = _GL_ORDERS[-1]
+        n_angles = [self._check_angles(p).size for p in batch]
+        panels = [self._panels_for(p + abs(shift)) for p in batch]
+        err = [math.inf] * len(batch)
+        weighted = {}  # amp exp(i rho s), panel by panel, per (panel count, order)
+        todo = list(range(len(batch)))
+        for attempt in range(self.quad.max_radial_refinements + 1):
+            at_count: Dict[int, list] = {}
+            for i in todo:
+                if attempt:
+                    panels[i] *= 2
+                at_count.setdefault(panels[i], []).append(i)
+            for n_panels, members in at_count.items():
+                sizes = [_rule_entries(n_panels, order, reach, n_angles[i]) for i in members]
+                for run in _fitting_runs(sizes, [n_panels * order] * len(members), reach):
+                    group = members[run]
+                    group_mags = [batch[i] for i in group]
+                    checks = []
+                    for rule_order in _GL_ORDERS:
+                        edge, offset = self._rule(group_mags, n_panels, rule_order, reach)
+                        rule = weighted.get((n_panels, rule_order))
+                        if rule is None:
+                            _, amp, starts, offsets = self._panels(n_panels, rule_order)
+                            # exp(i rho s) = exp(i e_j s) exp(i o_l s)
+                            phase = np.exp(1j * shift * starts)[:, None] * np.exp(1j * shift * offsets)
+                            rule = weighted[n_panels, rule_order] = amp.reshape(n_panels, rule_order) * phase
+                        checks.append(np.einsum("jt,jt->t", edge, rule @ offset))
+                    columns = [0]
+                    for i in group[:-1]:
+                        columns.append(columns[-1] + n_angles[i])
+                    gaps = np.maximum.reduceat(np.abs(checks[1] - checks[0]), columns).tolist()
+                    for i, gap in zip(group, gaps):
+                        err[i] = gap
+            todo = [i for i in todo if not err[i] <= tol]
+            if not todo:
                 break
-            n_panels *= 2
-        # the order-24 rule of the last panel count, as the accepted result or the estimate
-        rows = bessel.get(reach)
-        if rows is None:
-            rows = bessel[reach] = bessel_j(reach, p_mag * nodes)
-        half = rows @ weighted.reshape(-1).view(float).reshape(-1, 2)
-        half = (half[:, 0] + 1j * half[:, 1]) * (-1j) ** np.arange(reach + 1)
-        spectrum = np.concatenate([half[:0:-1], half])
-        if err > tol:
+        self._bessel_rows(batch, panels, reach)
+        half = np.array([
+            self._bessel[p, n_panels, reach] @ weighted[n_panels, order].reshape(-1).view(float).reshape(-1, 2)
+            for p, n_panels in zip(batch, panels)
+        ])
+        spectra = (half[..., 0] + 1j * half[..., 1]) * (-1j) ** np.arange(reach + 1)
+        spectra = np.concatenate([spectra[:, :0:-1], spectra], axis=1)
+        if np.ndim(p_mag) == 0:
+            return spectra[0], err[0]
+        return spectra, np.array(err)
+
+    def _bessel_rows(self, mags, panels, reach: int) -> None:
+        """Hold the rows ``J_0..J_reach(rho p)`` of each magnitude's order-24 rule at its panel count.
+
+        The rows not yet held come from one :func:`bessel_j` call over their
+        concatenated arguments (more only if they would not fit
+        ``MAX_RULE_ENTRIES``); each value depends on its own argument alone.
+        """
+        order = _GL_ORDERS[-1]
+        need = [(p, n) for p, n in dict.fromkeys(zip(mags, panels)) if (p, n, reach) not in self._bessel]
+        counts = [n * order for _, n in need]
+        for run in _fitting_runs([_rule_entries(n, order, reach, 0) for _, n in need], counts, reach):
+            rows = bessel_j(reach, np.concatenate([p * self._panels(n, order)[0] for p, n in need[run]]))
+            lo = 0
+            for (p, n), count in zip(need[run], counts[run]):
+                self._bessel[p, n, reach] = rows[:, lo : lo + count]
+                lo += count
+
+    def _radial_spectra(self, p_mag, keys, reach: int) -> np.ndarray:
+        """Spectra ``(magnitude, table, k = -reach..reach)`` of the radial tables ``keys = [(n, branch)]``.
+
+        Plus-branch spectra are cached by (p_mag, n, reach), and the missing
+        ones of each table come from one :meth:`_radial_transform` call over
+        the magnitudes; the minus branch is ``(-1)^k conj(Rf_+[k])`` (module
+        docstring), with no transform of its own.  A table that misses the
+        radial tolerance raises ``AccuracyError`` for the first failing
+        magnitude in ``p_mag`` order (and its first failing table in ``keys``
+        order), carrying that spectrum as the estimate.
+        """
+        mags = list(p_mag)
+        tol = self.quad.radial_rel_tol * self._mass
+        plus = {}
+        failure = None
+        for n in dict.fromkeys(n for n, _ in keys):
+            found = [self._radial.get((p, n, reach)) for p in mags]
+            missing = [i for i, hit in enumerate(found) if hit is None]
+            if missing:
+                shift = math.sqrt(n) * self.params.lam
+                spectra, errs = self._radial_transform([mags[i] for i in missing], shift, reach)
+                for i, spectrum, err in zip(missing, spectra, errs.tolist()):
+                    found[i] = spectrum
+                    if err > tol:
+                        if failure is None or i < failure[0]:
+                            failure = (i, err, spectrum)
+                        continue
+                    if len(self._radial) > 4096:
+                        self._radial.clear()
+                    self._radial[mags[i], n, reach] = spectrum
+            plus[n] = np.array(found)
+        if failure is not None:
+            _, err, spectrum = failure
             raise AccuracyError(
                 f"radial quadrature stuck at error {err:.3e} (tolerance {tol:.3e})",
                 estimate=spectrum,
                 error_bound=err,
             )
-        return spectrum, err
+        out = np.empty((len(mags), len(keys), 2 * reach + 1), dtype=complex)
+        for t, (n, branch) in enumerate(keys):
+            out[:, t] = plus[n] if branch > 0 or n == 0 else _minus_sign(reach) * np.conj(plus[n])
+        return out
 
     def _radial_spectrum(self, p_mag: float, n: int, branch: int, reach: int) -> np.ndarray:
-        """Harmonics ``k = -reach..reach`` of the radial table, cached by (p_mag, n, branch, reach).
-
-        The minus branch is ``(-1)^k conj(Rf_+[k])`` of the plus spectrum
-        (module docstring), with no transform of its own.
-        """
-        branch = 1 if n == 0 else branch
-        key = (p_mag, n, branch, reach)
-        hit = self._radial.get(key)
-        if hit is None:
-            if branch < 0:
-                plus = self._radial_spectrum(p_mag, n, 1, reach)
-                hit = np.where(np.arange(-reach, reach + 1) % 2, -1.0, 1.0) * np.conj(plus)
-            else:
-                hit, _ = self._radial_transform(p_mag, math.sqrt(n) * self.params.lam, reach)
-            if len(self._radial) > 4096:
-                self._radial.clear()
-            self._radial[key] = hit
-        return hit
+        """Harmonics ``k = -reach..reach`` of one radial table at one magnitude (:meth:`_radial_spectra`)."""
+        plus = self._radial.get((p_mag, n, reach))
+        if plus is None:
+            plus = self._radial_spectra([p_mag], [(n, 1)], reach)[0, 0]
+        return plus if branch > 0 or n == 0 else _minus_sign(reach) * np.conj(plus)
 
     def _rotation_harmonics(self, total: int, m: int, n: int):
         """``(k, dhat)``: Fourier coefficients of ``d_coeff`` for ``k = -total..total``.
@@ -551,25 +675,45 @@ class QuadratureOracle:
         # the spectrum is even in k, so its slice on -top..top is Rf[-k]
         return complex(dhat @ (np.exp(1j * point.p_ang * k) * spec[reach - top : reach + top + 1]))
 
-    def w_density(self, state: TwoModeState, atom: AtomState, point: MomentumPoint) -> float:
+    def w_density(self, state: TwoModeState, atom: AtomState, point):
         """Momentum density assembled from numeric kernels (oracle route).
 
-        The channel plan of ``(state, atom)`` times the radial spectra at
-        ``point.p_mag`` is a channel x harmonic matrix, kept for the last
-        magnitude; one point contracts it with the phases ``exp(i k p_ang)``.
+        ``point`` is one :class:`MomentumPoint`, giving a float, or a sequence
+        of them, giving an array in the same order.  The points are grouped by
+        magnitude, in order of first appearance, and the magnitudes go in
+        consecutive groups that fit ``MAX_RULE_ENTRIES`` at their initial
+        panel counts: each group's radial spectra are filled by one
+        :meth:`_radial_transform` call per plus-branch table, then, per
+        magnitude, the channel plan of ``(state, atom)`` times the spectra is
+        a channel x harmonic matrix that ``exp(i k p_ang)`` contracts at every
+        angle of that radius.
         """
+        points = [point] if isinstance(point, MomentumPoint) else point
+        p_mag = np.array([pt.p_mag for pt in points], dtype=float)
+        p_ang = np.array([pt.p_ang for pt in points], dtype=float)
+        out = np.zeros(p_mag.size)
         keys, rows, coeffs, weights, k = self._channel_plan(state, atom)
-        if not keys:
-            return 0.0
-        if self._plan_at is None or self._plan_at[0] != point.p_mag:
+        if keys and p_mag.size:
             top = k[-1]
             reach = _reach(top)
-            spectra = np.array(
-                [self._radial_spectrum(point.p_mag, n, b, reach)[reach - top : reach + top + 1] for n, b in keys]
-            )
-            self._plan_at = (point.p_mag, coeffs * spectra[rows])
-        amps = self._plan_at[1] @ np.exp(1j * point.p_ang * k)
-        return math.fsum(weights * np.abs(amps) ** 2)
+            mags, first, inverse = np.unique(p_mag, return_index=True, return_inverse=True)
+            # points of each magnitude, magnitudes in order of first appearance
+            at = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+            ranked = np.argsort(first)
+            shift = math.sqrt(max(n for n, _ in keys)) * self.params.lam
+            order = _GL_ORDERS[-1]
+            panels = [self._panels_for(p + shift) for p in mags[ranked]]
+            sizes = [
+                _rule_entries(n_panels, order, reach, self._check_angles(p).size)
+                for p, n_panels in zip(mags[ranked], panels)
+            ]
+            for run in _fitting_runs(sizes, [n_panels * order for n_panels in panels], reach):
+                group = ranked[run]
+                spectra = self._radial_spectra(mags[group].tolist(), keys, reach)[:, :, reach - top : reach + top + 1]
+                for j, spectrum in zip(group.tolist(), spectra):
+                    amps = (coeffs * spectrum[rows]) @ np.exp(1j * np.outer(k, p_ang[at[j]]))
+                    out[at[j]] = weights @ (np.abs(amps) ** 2)
+        return float(out[0]) if isinstance(point, MomentumPoint) else out
 
     def _channel_plan(self, state: TwoModeState, atom: AtomState):
         """``(keys, rows, coeffs, weights, k)``: the channel sum of ``w_density``.
@@ -593,7 +737,6 @@ class QuadratureOracle:
         weights = np.array([weight for _, _, weight, _ in channels])
         plan = (keys, rows, coeffs, weights, np.arange(-top, top + 1))
         self._plan = ((state, atom), plan)
-        self._plan_at = None
         return plan
 
 

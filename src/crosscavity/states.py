@@ -255,7 +255,11 @@ def normalize(state: TwoModeState) -> TwoModeState:
     """Rescale to unit norm; relative and global phases are untouched.
 
     Already-normalized states (norm within 1e-14 of one) are returned
-    unchanged so that normalization is exactly idempotent.
+    unchanged so that normalization is exactly idempotent.  Amplitudes are
+    multiplied by ``1 / norm``.  When that overflows (norm below ~5.6e-309),
+    the state is first scaled by the exact power of two ``2^-e`` that brings
+    its largest modulus near one, so that no modulus is subnormal, and that
+    state is normalized instead.
     """
     scaled, exponent = state._scaled_norm_squared()  # one pass for both norms
     norm = _ldexp_or_inf(math.sqrt(scaled), exponent)
@@ -266,6 +270,12 @@ def normalize(state: TwoModeState) -> TwoModeState:
     if abs(_ldexp_or_inf(scaled, 2 * exponent) - 1.0) < 1e-14:
         return state
     factor = 1.0 / norm
+    if not math.isfinite(factor):
+        exact = {
+            key: complex(math.ldexp(c.real, -exponent), math.ldexp(c.imag, -exponent))
+            for key, c in state.amplitudes.items()
+        }
+        return normalize(TwoModeState(exact, prune=0.0, tags=state.tags))
     return TwoModeState(
         {key: c * factor for key, c in state.amplitudes.items()}, tags=state.tags
     )

@@ -557,8 +557,9 @@ def test_minus_branch_spectrum_matches_direct_table(lam, kdr):
 
 
 def test_numeric_grid_transforms_plus_branch_only(monkeypatch):
-    # every radial transform is a plus-branch (or n = 0) table: K + 1 per radius
-    # for the deflected totals up to K = 4 of NOON-3 with a superposed atom
+    # every radial transform is a plus-branch (or n = 0) table: the calls cover
+    # K + 1 (table, magnitude) pairs per radius for the deflected totals up to
+    # K = 4 of NOON-3 with a superposed atom
     from crosscavity import GridSpec, w_grid
 
     calls = []
@@ -571,7 +572,7 @@ def test_numeric_grid_transforms_plus_branch_only(monkeypatch):
     monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
     grid = GridSpec(radial_points=4, angular_points=5, p_max=60.0)
     w_grid(noon_state(3), AtomState.normalized(1.0, 0.5j), PARAMS, grid=grid, kernel="numeric")
-    assert len(calls) == (4 + 1) * grid.radial_points
+    assert sum(np.size(p_mag) for p_mag, _, _ in calls) == (4 + 1) * grid.radial_points
     assert all(shift >= 0.0 for _, shift, _ in calls)
 
 
@@ -657,3 +658,159 @@ def test_w_density_independent_of_evaluation_order():
     order += [(i, pt) for i in (1, 0) for pt in reversed(points)]
     for i, pt in order:
         assert warm.w_density(*cases[i], pt) == fresh[i, pt]
+
+
+def test_bessel_j_values_depend_only_on_their_argument():
+    # Miller's recurrence starts at the same order whatever the other
+    # arguments of the call, so a concatenation equals separate calls,
+    # including one whose arguments all lie below 1
+    from crosscavity.quadrature import bessel_j
+
+    rng = np.random.default_rng(18)
+    parts = [
+        rng.uniform(0.0, 1.0, 50),
+        np.array([0.0, 1e-300, 9.76102312998167]),
+        np.linspace(0.0, 30.0, 777),
+        rng.uniform(0.0, 80.0, 5000),  # spans a chunk boundary of the concatenation
+        rng.uniform(0.0, 8.0, 300),
+    ]
+    for kmax in (0, 4, 12, 32):
+        whole = bessel_j(kmax, np.concatenate(parts))
+        separate = np.concatenate([bessel_j(kmax, part) for part in parts], axis=1)
+        assert np.array_equal(whole, separate), kmax
+
+
+def _accepted_panels(oracle, mags, shift, reach):
+    """The batched transform of ``mags`` and, per magnitude, the last panel count its rules were built at."""
+    last = {}
+    rule = oracle._rule
+
+    def recording(p, n_panels, order, r):
+        last.update((q, n_panels) for q in np.atleast_1d(p).tolist())
+        return rule(p, n_panels, order, r)
+
+    oracle._rule = recording
+    try:
+        spectra, errs = oracle._radial_transform(np.array(mags), shift, reach)
+    finally:
+        del oracle._rule
+    return spectra, errs, [last[p] for p in mags]
+
+
+@pytest.mark.parametrize("kind", ["exponential", "tabulated"])
+@pytest.mark.parametrize("lam", [5.0, 20.0, 100.0])
+def test_batched_radial_transform_matches_single_magnitudes(kind, lam):
+    # a batch refines every magnitude to the panel count a one-magnitude call
+    # accepts and gives the same spectra bit for bit, with 0 and repeated
+    # magnitudes; a tight tolerance makes some magnitudes double more often
+    # than others, and with no doubling allowed the estimates must agree too
+    rho = np.linspace(0.0, 1.5, 300)
+    tabulated = SlitProfile.tabulated(rho, np.exp(-rho / 0.2) * (1.2 + np.cos(9.0 * rho)))
+    profile = None if kind == "exponential" else tabulated
+    params = CouplingParams(lam, 0.3)
+    mags = [0.0, 0.3 * lam, 1.1 * lam, 0.3 * lam, 2.6 * lam, 0.0, 3.7 * lam]
+    specs = [QuadratureSpec(), QuadratureSpec(radial_rel_tol=1e-13), QuadratureSpec(1e-13, max_radial_refinements=0)]
+    doubled = False
+    for quad in specs:
+        for reach in (4, 16):
+            shift = math.sqrt(2.0) * lam
+            spectra, errs, panels = _accepted_panels(QuadratureOracle(params, profile, quad), mags, shift, reach)
+            for p, spectrum, err, n_panels in zip(mags, spectra, errs, panels):
+                single = QuadratureOracle(params, profile, quad)
+                want, want_err, want_panels = _accepted_panels(single, [p], shift, reach)
+                assert want_panels == [n_panels], (p, reach)
+                assert np.array_equal(spectrum, want[0]), (p, reach)
+                assert abs(err - want_err[0]) <= 1e-12 * single._mass
+                doubled |= n_panels != single._panels_for(p + shift)
+    assert doubled
+
+
+def test_numeric_grid_matches_pointwise_w_density():
+    # one w_density call over the whole grid against one call per point
+    from crosscavity import GridSpec, family_state, w_grid
+
+    rho = np.linspace(0.0, 1.5, 300)
+    tabulated = SlitProfile.tabulated(rho, np.exp(-rho / 0.2) * (1.0 + 0.3 * np.cos(5.0 * rho)))
+    cases = [
+        (noon_state(3), AtomState.normalized(1.0, 0.5j), None, None),
+        (family_state(1, 1), AtomState.ground(), None, None),
+        (one_photon_state(0.7), AtomState.normalized(0.3, 1.0), None, None),
+        (noon_state(2), AtomState.ground(), tabulated, QuadratureSpec(radial_rel_tol=1e-7)),
+    ]
+    grid = GridSpec(radial_points=7, angular_points=9, p_max=70.0)
+    for state, atom, profile, quad in cases:
+        dens = w_grid(state, atom, PARAMS, grid=grid, kernel="numeric", profile=profile, quad=quad)
+        oracle = QuadratureOracle(PARAMS, profile, quad)
+        ref = np.array(
+            [[oracle.w_density(state, atom, MomentumPoint(p, a)) for a in dens.angular_values]
+             for p in dens.radial_values]
+        )
+        assert np.max(ref) > 0
+        assert np.max(np.abs(dens.densities - ref)) <= 1e-15 * np.max(ref), (state, profile)
+
+
+def test_w_density_sequence_order_and_repeats():
+    # any order of points, repeated magnitudes and repeated points give the
+    # values of one-point calls, in the order asked
+    oracle = QuadratureOracle(PARAMS)
+    state, atom = noon_state(2), AtomState.normalized(1.0, -0.4j)
+    pairs = [(31.0, 0.2), (0.0, 1.0), (31.0, 4.0), (12.5, 0.2), (31.0, 0.2), (0.0, 3.0)]
+    points = [MomentumPoint(p, a) for p, a in pairs]
+    got = oracle.w_density(state, atom, points)
+    want = [QuadratureOracle(PARAMS).w_density(state, atom, pt) for pt in points]
+    assert got.shape == (len(points),)
+    assert np.max(np.abs(got - want)) <= 1e-15 * max(want)
+    assert oracle.w_density(state, atom, []).shape == (0,)
+
+
+def test_w_density_refusal_names_first_failing_magnitude():
+    # with no doubling allowed, some radii miss the tolerance: the sequence
+    # call raises what the one-point call of the first failing point raises
+    from crosscavity.quadrature import AccuracyError
+
+    params = CouplingParams(100.0, 0.3)
+    brutal = QuadratureSpec(radial_rel_tol=1e-13, max_radial_refinements=0)
+    state, atom = noon_state(2), AtomState.normalized(1.0, 0.5)
+    points = [MomentumPoint(p, 0.4) for p in (3.0, 140.0, 90.0, 140.0, 60.0)]
+    first = None
+    for pt in points:
+        try:
+            QuadratureOracle(params, quad=brutal).w_density(state, atom, pt)
+        except AccuracyError as exc:
+            first = exc
+            break
+    assert first is not None and pt.p_mag != points[-1].p_mag
+    with pytest.raises(AccuracyError) as err:
+        QuadratureOracle(params, quad=brutal).w_density(state, atom, points)
+    assert str(err.value) == str(first)
+    assert err.value.error_bound == first.error_bound
+    assert np.array_equal(err.value.estimate, first.estimate)
+
+
+def test_numeric_grid_over_many_radii_stays_within_rule_budget(monkeypatch):
+    # the radii go in consecutive groups that fit MAX_RULE_ENTRIES, so a grid
+    # whose Bessel rows alone would take several budgets holds at most
+    # 8 MAX_RULE_ENTRIES bytes at once
+    import tracemalloc
+
+    from crosscavity import GridSpec, w_grid
+    from crosscavity import quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_RULE_ENTRIES", 1 << 21)
+    batches = []
+    transform = QuadratureOracle._radial_transform
+
+    def counted_transform(self, p_mag, *args):
+        batches.append(np.size(p_mag))
+        return transform(self, p_mag, *args)
+
+    monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
+    grid = GridSpec(radial_points=240, angular_points=4, p_max=90.0)
+    tracemalloc.start()
+    try:
+        w_grid(noon_state(4), AtomState.normalized(1.0, 0.5j), PARAMS, grid=grid, kernel="numeric")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * quadrature.MAX_RULE_ENTRIES
+    assert 1 < max(batches) < grid.radial_points

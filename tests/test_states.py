@@ -104,6 +104,9 @@ def normalize_two_pass(state):
     if abs(state.norm_squared() - 1.0) < 1e-14:
         return state
     factor = 1.0 / norm
+    if not math.isfinite(factor):  # norm below ~5.6e-309: an exact power-of-two rescale first
+        scaled = TwoModeState({key: c * 2.0**600 for key, c in state.amplitudes.items()}, prune=0.0)
+        return normalize_two_pass(scaled)
     return TwoModeState({key: c * factor for key, c in state.amplitudes.items()}, tags=state.tags)
 
 
@@ -138,6 +141,26 @@ def test_normalize_equals_the_two_pass_version():
         seen.add(got[:2])
     assert {("ok", False), ("ok", True), ("refused", "state norm overflows a float"),
             ("refused", "cannot normalize a state with no nonzero amplitude")} <= seen
+
+
+def test_normalize_accepts_subnormal_norms():
+    # 1 / norm overflows below ~5.6e-309; the result equals that of the same
+    # state scaled up by an exact power of two, and has unit norm
+    rng = np.random.default_rng(1811)
+    cases = [
+        {(1, 0): 5e-324},
+        {(1, 0): 1e-310},
+        {(0, 1): 3e-320, (1, 0): -4e-320j},
+        {(m, 1): complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-323, -308) for m in range(4)},
+        {(0, 2): 1e-300 * 1e-15, (2, 0): 5e-324, (1, 1): 2.5e-310j},
+    ]
+    for amps in cases:
+        state = TwoModeState(amps, prune=0.0)
+        scaled = TwoModeState({key: c * 2.0**600 for key, c in amps.items()}, prune=0.0)
+        out = normalize(state)
+        assert dict(out.amplitudes) == dict(normalize(scaled).amplitudes)
+        assert abs(out.norm() - 1.0) <= 1e-15
+    assert dict(normalize(TwoModeState({(1, 0): 5e-324}, prune=0.0)).amplitudes) == {(1, 0): 1.0}
 
 
 def test_normalize_makes_one_norm_pass(monkeypatch):
