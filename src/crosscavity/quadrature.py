@@ -35,12 +35,12 @@ transform is a product of these rows with ``amp exp(i rho s)``.  The error
 estimate compares the order-24 rule with its order-12 companion at the check
 angles, and each magnitude's panel count doubles until it meets the radial
 tolerance.  A transform takes a batch of magnitudes: those at one panel count
-are checked by one matrix product over their check columns side by side, the
-Bessel rows of all the accepted rules come from one :func:`bessel_j` call,
-and the batch keeps them, so the ``K + 1`` tables at the same magnitudes
-share them.  Every magnitude is refined and evaluated exactly as it would be
-alone, so a batch changes no value; batches are cut to fit
-``MAX_RULE_ENTRIES``.
+share their check factors, each is checked by a product of the shape it
+would have alone, the Bessel rows of all the accepted rules come from one
+:func:`bessel_j` call, and the batch keeps them, so the ``K + 1`` tables at
+the same magnitudes share them.  Every magnitude is refined, bounded and
+evaluated exactly as it would be alone, so a batch changes no value; batches
+are cut to fit ``MAX_RULE_ENTRIES``.
 For the exponential profile the check angles are ``theta = 0`` and ``pi``,
 where ``|p cos theta - s|`` is largest and the integrand oscillates fastest;
 a tabulated profile, whose kinks leave errors that need not grow with that
@@ -57,9 +57,11 @@ equals ``sum_k dhat_k exp(i k phi) Rf[-k]``.  :class:`QuadratureOracle` keeps
 the spectra per radial table and the ``2N+1`` coefficients ``dhat`` per
 rotation index, sampled from ``d_coeff`` on ``2N+1`` angles, and each
 amplitude is one short contraction, which makes full validation batteries
-tractable.  Numeric grids go radius by radius: ``w_density`` takes all the
-points of a grid, transforms each table at all their magnitudes at once and
-contracts every angle of a radius in one product.
+tractable.  Both evaluations take sequences of points and transform each
+table once over all their magnitudes: ``fourier`` for one kernel index (the
+validation battery asks once per index over a block's points), and
+``w_density`` for a whole grid, contracting every angle of a radius in one
+product.
 
 Two more exact identities serve the density.  Every channel amplitude of
 ``w_density`` is a fixed linear combination of kernel amplitudes on one
@@ -77,7 +79,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -403,15 +405,19 @@ def _fitting_runs(entries, nodes, reach: int):
 class QuadratureOracle:
     """Batch evaluator for the direct-quadrature kernel.
 
-    Caches the spectra of the radial tables by (p_mag, n, reach) (plus
-    branch only: the minus-branch spectrum is the plus-branch one conjugated,
-    ``Rf_-[k] = (-1)^k conj(Rf_+[k])``), the Fourier coefficients of each
-    rotation element by (total, m, n), the Bessel rows of the current batch
-    of momentum magnitudes by (p_mag, panel count, reach) and the check
-    factors of the last run of magnitudes checked together, sharing them
-    across kernel indices, radial tables and momentum angles.  ``w_density``
-    keeps the channel plan of the last ``(state, atom)``: per channel, the
-    rotation harmonics of its kernel amplitudes summed with the state and atom
+    ``fourier`` and ``w_density`` take one point or a sequence of them; the
+    magnitudes of a sequence go in runs that fit ``MAX_RULE_ENTRIES``
+    (:meth:`_magnitude_runs`, kept for the last sequence), and each run's
+    radial tables are transformed once over all of its magnitudes.  Caches
+    the spectra of the radial tables by (p_mag, n, reach) (plus branch only:
+    the minus-branch spectrum is the plus-branch one conjugated, ``Rf_-[k] =
+    (-1)^k conj(Rf_+[k])``), the Fourier coefficients of each rotation
+    element by (total, m, n), the Bessel rows of the current batch of
+    momentum magnitudes by (p_mag, panel count, reach) and the check factors
+    of the last run of magnitudes checked together, sharing them across
+    kernel indices, radial tables and momentum angles.  ``w_density`` keeps
+    the channel plan of the last ``(state, atom)``: per channel, the rotation
+    harmonics of its kernel amplitudes summed with the state and atom
     coefficients.
     """
 
@@ -438,6 +444,7 @@ class QuadratureOracle:
         self._bessel: Dict[Tuple[float, int, int], np.ndarray] = {}
         self._batch: Optional[tuple] = None
         self._plan = None
+        self._runs = None
 
     # -- radial rules ----------------------------------------------------
 
@@ -488,8 +495,8 @@ class QuadratureOracle:
         ``(P, columns)`` edge factor ``exp(-i e_j c)``, shared by both orders,
         times the ``(L, columns)`` offset factor ``exp(-i o_l c)``, with the
         check columns of every magnitude side by side in order, so that one
-        matrix product checks them all.  Rules of the last run of magnitudes
-        are kept.  A run whose rules would hold more than ``MAX_RULE_ENTRIES``
+        exponential builds them all.  Rules of the last run of magnitudes are
+        kept.  A run whose rules would hold more than ``MAX_RULE_ENTRIES``
         entries (:func:`_rule_entries` plus the Bessel scratch) raises
         ``AccuracyError`` before anything is allocated.
         """
@@ -525,10 +532,12 @@ class QuadratureOracle:
         doubles until its bound meets the radial tolerance or the refinements
         run out, and the order-24 rule of its last panel count gives its
         spectrum, as the result or the estimate.  The magnitudes at one panel
-        count are checked together, in consecutive runs that fit
-        ``MAX_RULE_ENTRIES``; the Bessel rows of the rules not yet held come
-        from one :func:`bessel_j` call and are kept for this batch of
-        magnitudes, so that its other tables share them.
+        count share their check factors, in consecutive runs that fit
+        ``MAX_RULE_ENTRIES``, and each takes the check product of its own
+        columns, so its bound is the one it gets alone; the Bessel rows of
+        the rules not yet held come from one :func:`bessel_j` call and are
+        kept for this batch of magnitudes, so that its other tables share
+        them.
         """
         batch = tuple(np.ravel(p_mag).tolist())
         if self._batch != batch:
@@ -552,6 +561,8 @@ class QuadratureOracle:
                 for run in _fitting_runs(sizes, [n_panels * order] * len(members), reach):
                     group = members[run]
                     group_mags = [batch[i] for i in group]
+                    ends = np.cumsum([n_angles[i] for i in group]).tolist()
+                    spans = list(zip([0] + ends[:-1], ends))
                     checks = []
                     for rule_order in _GL_ORDERS:
                         edge, offset = self._rule(group_mags, n_panels, rule_order, reach)
@@ -561,13 +572,11 @@ class QuadratureOracle:
                             # exp(i rho s) = exp(i e_j s) exp(i o_l s)
                             phase = np.exp(1j * shift * starts)[:, None] * np.exp(1j * shift * offsets)
                             rule = weighted[n_panels, rule_order] = amp.reshape(n_panels, rule_order) * phase
-                        checks.append(np.einsum("jt,jt->t", edge, rule @ offset))
-                    columns = [0]
-                    for i in group[:-1]:
-                        columns.append(columns[-1] + n_angles[i])
-                    gaps = np.maximum.reduceat(np.abs(checks[1] - checks[0]), columns).tolist()
-                    for i, gap in zip(group, gaps):
-                        err[i] = gap
+                        # one product per magnitude, of the shape a one-magnitude call
+                        # has: a BLAS product's columns depend on their neighbours
+                        checks.append([np.einsum("jt,jt->t", edge[:, a:b], rule @ offset[:, a:b]) for a, b in spans])
+                    for i, low, high in zip(group, *checks):
+                        err[i] = float(np.max(np.abs(high - low)))
             todo = [i for i in todo if not err[i] <= tol]
             if not todo:
                 break
@@ -642,13 +651,6 @@ class QuadratureOracle:
             out[:, t] = plus[n] if branch > 0 or n == 0 else _minus_sign(reach) * np.conj(plus[n])
         return out
 
-    def _radial_spectrum(self, p_mag: float, n: int, branch: int, reach: int) -> np.ndarray:
-        """Harmonics ``k = -reach..reach`` of one radial table at one magnitude (:meth:`_radial_spectra`)."""
-        plus = self._radial.get((p_mag, n, reach))
-        if plus is None:
-            plus = self._radial_spectra([p_mag], [(n, 1)], reach)[0, 0]
-        return plus if branch > 0 or n == 0 else _minus_sign(reach) * np.conj(plus)
-
     def _rotation_harmonics(self, total: int, m: int, n: int):
         """``(k, dhat)``: Fourier coefficients of ``d_coeff`` for ``k = -total..total``.
 
@@ -666,27 +668,46 @@ class QuadratureOracle:
 
     # -- public evaluations ---------------------------------------------
 
-    def fourier(self, idx: KernelIndices, point: MomentumPoint) -> complex:
+    def fourier(
+        self, idx: KernelIndices, point: Union[MomentumPoint, Sequence[MomentumPoint]]
+    ) -> Union[complex, np.ndarray]:
+        """Kernel amplitude at one momentum point or at each of a sequence.
+
+        One :class:`MomentumPoint` gives a ``complex``; a sequence gives a
+        complex array in point order.  The spectra of the index's radial table
+        come from :meth:`_radial_spectra` over the points' magnitudes, one run
+        of :meth:`_magnitude_runs` at a time, and each point's amplitude is
+        row ``j`` of ``exp(i outer(p_ang, k)) spec dhat`` summed over ``k``,
+        which reads no other row, so a sequence gives the one-point values bit
+        for bit.
+        """
+        single = isinstance(point, MomentumPoint)
+        points = [point] if single else point
+        p_mag = np.array([pt.p_mag for pt in points], dtype=float)
+        p_ang = np.array([pt.p_ang for pt in points], dtype=float)
         d = idx.delta
-        k, dhat = self._rotation_harmonics(idx.total - d, idx.m - d, idx.n - d)
         top = idx.total - d
+        k, dhat = self._rotation_harmonics(top, idx.m - d, idx.n - d)
         reach = _reach(top)
-        spec = self._radial_spectrum(point.p_mag, idx.n, idx.branch, reach)
-        # the spectrum is even in k, so its slice on -top..top is Rf[-k]
-        return complex(dhat @ (np.exp(1j * point.p_ang * k) * spec[reach - top : reach + top + 1]))
+        out = np.empty(p_mag.size, dtype=complex)
+        for mags, at in self._magnitude_runs(p_mag, math.sqrt(idx.n) * self.params.lam, reach):
+            # the spectrum is even in k, so its slice on -top..top is Rf[-k]
+            spectra = self._radial_spectra(mags, [(idx.n, idx.branch)], reach)[:, 0, reach - top : reach + top + 1]
+            members = np.concatenate(at)
+            spec = np.repeat(spectra, [len(a) for a in at], axis=0)
+            out[members] = (np.exp(1j * np.outer(p_ang[members], k)) * spec * dhat).sum(axis=-1)
+        return complex(out[0]) if single else out
 
     def w_density(self, state: TwoModeState, atom: AtomState, point):
         """Momentum density assembled from numeric kernels (oracle route).
 
         ``point`` is one :class:`MomentumPoint`, giving a float, or a sequence
-        of them, giving an array in the same order.  The points are grouped by
-        magnitude, in order of first appearance, and the magnitudes go in
-        consecutive groups that fit ``MAX_RULE_ENTRIES`` at their initial
-        panel counts: each group's radial spectra are filled by one
-        :meth:`_radial_transform` call per plus-branch table, then, per
-        magnitude, the channel plan of ``(state, atom)`` times the spectra is
-        a channel x harmonic matrix that ``exp(i k p_ang)`` contracts at every
-        angle of that radius.
+        of them, giving an array in the same order.  The points' magnitudes go
+        in the runs of :meth:`_magnitude_runs`: each run's radial spectra are
+        filled by one :meth:`_radial_transform` call per plus-branch table,
+        then, per magnitude, the channel plan of ``(state, atom)`` times the
+        spectra is a channel x harmonic matrix that ``exp(i k p_ang)``
+        contracts at every angle of that radius.
         """
         points = [point] if isinstance(point, MomentumPoint) else point
         p_mag = np.array([pt.p_mag for pt in points], dtype=float)
@@ -696,24 +717,45 @@ class QuadratureOracle:
         if keys and p_mag.size:
             top = k[-1]
             reach = _reach(top)
-            mags, first, inverse = np.unique(p_mag, return_index=True, return_inverse=True)
-            # points of each magnitude, magnitudes in order of first appearance
-            at = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-            ranked = np.argsort(first)
             shift = math.sqrt(max(n for n, _ in keys)) * self.params.lam
-            order = _GL_ORDERS[-1]
-            panels = [self._panels_for(p + shift) for p in mags[ranked]]
-            sizes = [
-                _rule_entries(n_panels, order, reach, self._check_angles(p).size)
-                for p, n_panels in zip(mags[ranked], panels)
-            ]
-            for run in _fitting_runs(sizes, [n_panels * order for n_panels in panels], reach):
-                group = ranked[run]
-                spectra = self._radial_spectra(mags[group].tolist(), keys, reach)[:, :, reach - top : reach + top + 1]
-                for j, spectrum in zip(group.tolist(), spectra):
-                    amps = (coeffs * spectrum[rows]) @ np.exp(1j * np.outer(k, p_ang[at[j]]))
-                    out[at[j]] = weights @ (np.abs(amps) ** 2)
+            for mags, at in self._magnitude_runs(p_mag, shift, reach):
+                spectra = self._radial_spectra(mags, keys, reach)[:, :, reach - top : reach + top + 1]
+                for members, spectrum in zip(at, spectra):
+                    amps = (coeffs * spectrum[rows]) @ np.exp(1j * np.outer(k, p_ang[members]))
+                    out[members] = weights @ (np.abs(amps) ** 2)
         return float(out[0]) if isinstance(point, MomentumPoint) else out
+
+    def _magnitude_runs(self, p_mag: np.ndarray, shift: float, reach: int):
+        """``[(mags, at)]``: the distinct magnitudes of ``p_mag`` in runs that fit ``MAX_RULE_ENTRIES``.
+
+        ``mags`` lists a run's magnitudes in order of first appearance in
+        ``p_mag``, and ``at`` the indices of the points at each.  The runs are
+        consecutive, and each fits the budget with its magnitudes' rules at
+        their initial panel counts for ``shift`` (:func:`_fitting_runs`), so a
+        caller that uses each run right after transforming it holds the Bessel
+        rows of one run at a time, and the 4096-entry spectra cache cannot
+        evict what that run still reads.  The grouping of the last sequence
+        of magnitudes and its runs per ``(shift, reach)`` are kept: the
+        validation battery asks for them once per kernel index, over the same
+        points.
+        """
+        key = p_mag.tobytes()
+        if self._runs is None or self._runs[0] != key:
+            mags, first, inverse, counts = np.unique(p_mag, return_index=True, return_inverse=True, return_counts=True)
+            members = np.argsort(inverse, kind="stable")
+            ends = np.cumsum(counts).tolist()
+            ranked = np.argsort(first).tolist()
+            at = [members[ends[j] - counts[j] : ends[j]] for j in ranked]
+            self._runs = (key, mags[ranked].tolist(), at, {})
+        _, mags, at, cuts = self._runs
+        runs = cuts.get((shift, reach))
+        if runs is None:
+            order = _GL_ORDERS[-1]
+            panels = [self._panels_for(p + shift) for p in mags]
+            sizes = [_rule_entries(n, order, reach, self._check_angles(p).size) for p, n in zip(mags, panels)]
+            fitting = _fitting_runs(sizes, [n * order for n in panels], reach)
+            runs = cuts[shift, reach] = [(mags[run], at[run]) for run in fitting]
+        return runs
 
     def _channel_plan(self, state: TwoModeState, atom: AtomState):
         """``(keys, rows, coeffs, weights, k)``: the channel sum of ``w_density``.

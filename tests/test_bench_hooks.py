@@ -67,4 +67,4 @@ def test_traced_quick_battery_reaches_both_kernel_routes(monkeypatch):
     assert names.count("validation.kernel_battery") == 1
     assert names.count("kernel.fourier_analytic") == 36
     assert names.count("kernel.mode_radial_table") == 36
-    assert names.count("quadrature.fourier") == 288
+    assert names.count("quadrature.fourier") == 36

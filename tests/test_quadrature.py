@@ -182,7 +182,7 @@ def test_radial_rule_failure_reports_estimate():
         oracle.fourier(idx, MomentumPoint(90.0, 0.0))
     exc = err.value
     assert math.isfinite(exc.error_bound) and exc.error_bound > 1e-13 * oracle._mass
-    converged = QuadratureOracle(params)._radial_spectrum(90.0, 1, 1, 4)
+    converged = QuadratureOracle(params)._radial_spectra([90.0], [(1, 1)], 4)[0, 0]
     assert exc.estimate.shape == converged.shape
     assert np.max(np.abs(exc.estimate - converged)) <= exc.error_bound
 
@@ -258,7 +258,7 @@ def _check_tables_against_direct(oracle, p_values):
             doubled |= used[-1] != used[0]
             groups.setdefault(used[-1], []).append((shift, spectrum))
             if n:
-                minus = oracle._radial_spectrum(float(p), n, -1, 4)
+                minus = oracle._radial_spectra([float(p)], [(n, -1)], 4)[0, 0]
                 groups[used[-1]].append((-shift, minus))
         for n_panels, entries in groups.items():
             shifts = [shift for shift, _ in entries]
@@ -550,7 +550,7 @@ def test_minus_branch_spectrum_matches_direct_table(lam, kdr):
     oracle = QuadratureOracle(CouplingParams(lam, kdr))
     for p in (0.0, 0.4 * lam, lam, 1.7 * lam, 3.1 * lam):
         for n in range(1, 6):
-            derived = oracle._radial_spectrum(p, n, -1, 8)
+            derived = oracle._radial_spectra([p], [(n, -1)], 8)[0, 0]
             direct, _ = oracle._radial_transform(p, -math.sqrt(n) * lam, 8)
             assert derived.shape == direct.shape == (17,)
             assert np.max(np.abs(derived - direct)) <= 1e-14 * oracle._mass, (p, n)
@@ -637,8 +637,8 @@ def test_fourier_independent_of_harmonic_reach():
         warm.fourier(KernelIndices(6, 2, 1, "g", branch), point)
     assert [warm.fourier(idx, point) for idx in targets] == fresh
     for branch in (1, -1):
-        low = warm._radial_spectrum(23.0, 1, branch, 4)
-        high = warm._radial_spectrum(23.0, 1, branch, 8)
+        low = warm._radial_spectra([23.0], [(1, branch)], 4)[0, 0]
+        high = warm._radial_spectra([23.0], [(1, branch)], 8)[0, 0]
         assert np.max(np.abs(high[4:13] - low)) <= 1e-15 * warm._mass
 
 
@@ -814,3 +814,67 @@ def test_numeric_grid_over_many_radii_stays_within_rule_budget(monkeypatch):
         tracemalloc.stop()
     assert peak <= 8 * quadrature.MAX_RULE_ENTRIES
     assert 1 < max(batches) < grid.radial_points
+
+
+@pytest.mark.parametrize("kind", ["exponential", "tabulated"])
+def test_fourier_sequence_equals_one_point_calls(kind):
+    # one call over a sequence gives each point's one-point value exactly:
+    # totals up to 6 read reaches 4 and 8, both branches and both atom levels,
+    # with magnitude 0 and repeated magnitudes among the points
+    rho = np.linspace(0.0, 1.5, 300)
+    tabulated = SlitProfile.tabulated(rho, np.exp(-rho / 0.2) * (1.2 + np.cos(9.0 * rho)))
+    profile, quad = (None, None) if kind == "exponential" else (tabulated, QuadratureSpec(radial_rel_tol=1e-7))
+    params = CouplingParams(20.0, 0.3)
+    pairs = [(31.0, 0.2), (0.0, 1.0), (12.5, 4.0), (31.0, 2.9), (0.0, 5.5), (47.0, 0.2), (12.5, 0.2)]
+    points = [MomentumPoint(p, a) for p, a in pairs]
+    tuples = [(1, 0, 1, "g"), (1, 1, 1, "e"), (2, 2, 0, "g"), (3, 1, 2, "e"), (4, 3, 4, "g"), (5, 2, 5, "g"),
+              (6, 4, 3, "e"), (6, 6, 6, "g")]
+    oracle = QuadratureOracle(params, profile, quad)
+    single = QuadratureOracle(params, profile, quad)
+    for total, m, n, eps in tuples:
+        for branch in (1, -1):
+            idx = KernelIndices(total, m, n, eps, branch)
+            got = oracle.fourier(idx, points)
+            assert got.shape == (len(points),) and got.dtype == complex
+            assert got.tolist() == [single.fourier(idx, pt) for pt in points], idx
+
+
+def test_fourier_one_point_and_empty_sequence():
+    oracle = QuadratureOracle(PARAMS)
+    idx = KernelIndices(2, 1, 2, "g", -1)
+    point = MomentumPoint(17.0, 0.4)
+    value = oracle.fourier(idx, point)
+    assert type(value) is complex
+    assert oracle.fourier(idx, (point,)).tolist() == [value]
+    empty = oracle.fourier(idx, [])
+    assert empty.shape == (0,) and empty.dtype == complex
+
+
+def test_fourier_over_many_magnitudes_stays_within_rule_budget(monkeypatch):
+    # like the numeric grid, a long sequence goes in consecutive runs of
+    # magnitudes that fit MAX_RULE_ENTRIES, each used right after its transform
+    import tracemalloc
+
+    from crosscavity import quadrature
+
+    monkeypatch.setattr(quadrature, "MAX_RULE_ENTRIES", 1 << 21)
+    batches = []
+    transform = QuadratureOracle._radial_transform
+
+    def counted_transform(self, p_mag, *args):
+        batches.append(np.size(p_mag))
+        return transform(self, p_mag, *args)
+
+    monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
+    points = [MomentumPoint(p, 0.3 * i) for i, p in enumerate(np.linspace(0.0, 90.0, 240).tolist())]
+    oracle = QuadratureOracle(PARAMS)
+    tracemalloc.start()
+    try:
+        values = oracle.fourier(KernelIndices(4, 2, 3, "g", 1), points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (len(points),) and np.isfinite(values).all()
+    assert peak <= 8 * quadrature.MAX_RULE_ENTRIES
+    assert sum(batches) == len(points)
+    assert 1 < max(batches) < len(points)

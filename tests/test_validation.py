@@ -73,3 +73,59 @@ def test_quick_battery_builds_one_radial_table_per_index(monkeypatch):
     assert len(summary.records) == 288
     assert len(calls) == 36  # one per index of each block; the point-by-point loop makes 288
     assert set(calls) == {8}
+
+
+def test_quick_battery_transforms_each_plus_table_once_per_block(monkeypatch):
+    calls = []
+    transform = QuadratureOracle._radial_transform
+
+    def counting(self, p_mag, shift, reach):
+        calls.append((np.size(p_mag), shift >= 0.0))
+        return transform(self, p_mag, shift, reach)
+
+    monkeypatch.setattr(QuadratureOracle, "_radial_transform", counting)
+    summary = kernel_battery(**QUICK)
+    assert len(summary.records) == 288
+    # plus-branch tables n = 0, 1 of block 1 and n = 0..2 of block 2, each over
+    # the block's 8 magnitudes; the point-by-point loop makes 40 one-magnitude calls
+    assert calls == [(8, True)] * 5
+
+
+def _first_point_by_point_refusal(lams, kdrs, max_total, points, quad, seed=20240):
+    """The AccuracyError that one-point oracle calls in record order raise first."""
+    from crosscavity.quadrature import AccuracyError
+
+    for lam in lams:
+        for kdr in kdrs:
+            oracle = QuadratureOracle(CouplingParams(lam, kdr), SlitProfile.exponential(kdr), quad)
+            rng = np.random.default_rng([seed, int(lam * 1000), int(kdr * 1000)])
+            tuples = _tuple_set(max_total)
+            for total in range(1, max_total + 1):
+                p_vals = rng.uniform(0.0, 2.0 * math.sqrt(total) * lam, size=points)
+                a_vals = rng.uniform(0.0, 2.0 * math.pi, size=points)
+                for p, a in zip(p_vals, a_vals):
+                    for t in tuples:
+                        if t[0] == total:
+                            try:
+                                oracle.fourier(KernelIndices(*t), MomentumPoint(float(p), float(a)))
+                            except AccuracyError as exc:
+                                return exc
+    return None
+
+
+@pytest.mark.parametrize("config", [QUICK, dict(QUICK, kdrs=(0.3,))], ids=["quick", "kdr0.3"])
+def test_battery_refusal_matches_point_by_point_reference(config):
+    # with no panel doubling, some radial tables miss a tight tolerance; the
+    # battery transforms a block's tables before reading any amplitude, and
+    # raises what the point-by-point loop raises first (at k_delta_r 0.3, one
+    # index after another over all points would name a later point first)
+    from crosscavity.quadrature import AccuracyError, QuadratureSpec
+
+    quad = QuadratureSpec(radial_rel_tol=1e-13, max_radial_refinements=0)
+    first = _first_point_by_point_refusal(quad=quad, **config)
+    assert first is not None
+    with pytest.raises(AccuracyError) as err:
+        kernel_battery(quad=quad, **config)
+    assert str(err.value) == str(first)
+    assert err.value.error_bound == first.error_bound
+    assert np.array_equal(err.value.estimate, first.estimate)
