@@ -369,7 +369,8 @@ def exact_populations(
 
     One contraction per block serves the whole stack; ``theta_points`` is as
     in :func:`populations`.  Raises ``AccuracyError`` when a population is
-    NaN or Inf.
+    NaN or Inf, or when a state's weights miss closure (sum to 1 within
+    1e-10).
     """
     blocks = stacked_blocks(states)
     top = max(blocks, default=0)
@@ -400,7 +401,7 @@ def exact_populations(
         entries = [SpectrumEntry(n, math.fsum(rings[n]), "exact") for n in sorted(rings)]
         closure = math.fsum(e.p for e in entries)
         if abs(closure - 1.0) > 1e-10:
-            raise RuntimeError(f"exact ring weights sum to {closure!r}, expected 1")
+            raise AccuracyError(f"exact ring weights sum to {closure!r}, expected 1", error_bound=abs(closure - 1.0))
         spectra.append(PopulationSpectrum(tuple(entries), "exact"))
         _check_finite(spectra[-1])
     return spectra

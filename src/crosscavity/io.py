@@ -11,8 +11,14 @@ parameters:
      "atom": {"c_g": {"re": 0, "im": 0}, "c_e": {"re": 1, "im": 0}},
      "params": {"lambda": 20, "k_delta_r": 0.1}}
 
-Unknown fields are rejected.  Parsed amplitudes are normalized; the applied
-correction factor is recorded on the parse result.
+Unknown fields are rejected.  Every numeric field (``lambda``,
+``k_delta_r``, ``re``, ``im`` and the angle of the ``one_photon`` and
+``two_photon`` builders) must be a JSON number: ``true``, ``"20"`` or
+``"nan"`` are refused as non-numeric, while JSON's bare ``NaN`` and
+``Infinity`` tokens parse as numbers and are refused where the value must be
+finite.  Photon indices and ``noon``/``family`` arguments must be integers.
+Parsed amplitudes are normalized; the applied correction factor is recorded
+on the parse result.
 """
 
 from __future__ import annotations
@@ -69,14 +75,21 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise StateSpecError(f"unknown field(s) {sorted(unknown)} in {where}")
 
 
+def _number(value, where: str) -> float:
+    """``value`` as a float if it is a JSON number; bools, strings and the rest are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StateSpecError(f"non-numeric value in {where}: {value!r} is not a JSON number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise StateSpecError(f"{where}: {value} overflows a float") from None
+
+
 def _complex_field(obj, where: str) -> complex:
     if not isinstance(obj, dict):
         raise StateSpecError(f"{where} must be an object with re/im")
     _require_keys(obj, {"re", "im"}, where)
-    try:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise StateSpecError(f"non-numeric value in {where}: {exc}") from None
+    return complex(_number(obj.get("re", 0.0), f"{where}.re"), _number(obj.get("im", 0.0), f"{where}.im"))
 
 
 def parse_state_spec(text) -> ParsedSpec:
@@ -115,12 +128,7 @@ def parse_state_spec(text) -> ParsedSpec:
                     raise StateSpecError(f"builder {name!r} takes integer arguments, got {a!r}")
                 coerced.append(a)
             else:
-                try:
-                    coerced.append(float(a))
-                except (TypeError, ValueError):
-                    raise StateSpecError(
-                        f"builder {name!r} takes numeric arguments, got {a!r}"
-                    ) from None
+                coerced.append(_number(a, f"builder {name!r} argument"))
         try:
             raw_state = fn(*coerced)
         except (ValueError, InvalidStateError) as exc:
@@ -178,9 +186,11 @@ def parse_state_spec(text) -> ParsedSpec:
     _require_keys(params_doc, {"lambda", "k_delta_r"}, "params")
     if "lambda" not in params_doc or "k_delta_r" not in params_doc:
         raise StateSpecError("params requires 'lambda' and 'k_delta_r'")
+    lam = _number(params_doc["lambda"], "params.lambda")
+    k_delta_r = _number(params_doc["k_delta_r"], "params.k_delta_r")
     try:
-        params = CouplingParams(float(params_doc["lambda"]), float(params_doc["k_delta_r"]))
-    except (TypeError, ValueError) as exc:
+        params = CouplingParams(lam, k_delta_r)
+    except ValueError as exc:
         raise StateSpecError(f"params: {exc}") from None
 
     return ParsedSpec(

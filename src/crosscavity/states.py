@@ -121,9 +121,14 @@ class TwoModeState:
         return f"TwoModeState({{{terms}}})"
 
 
+def _require_finite_atom(c_g: complex, c_e: complex) -> None:
+    if not all(map(math.isfinite, (c_g.real, c_g.imag, c_e.real, c_e.imag))):
+        raise InvalidStateError(f"atomic coefficients must be finite, got c_g = {c_g!r}, c_e = {c_e!r}")
+
+
 @dataclass(frozen=True)
 class AtomState:
-    """Internal two-level superposition ``c_g|g> + c_e|e>`` (unit norm)."""
+    """Internal two-level superposition ``c_g|g> + c_e|e>`` (unit norm, finite coefficients)."""
 
     c_g: complex
     c_e: complex
@@ -131,6 +136,7 @@ class AtomState:
     def __post_init__(self):
         object.__setattr__(self, "c_g", complex(self.c_g))
         object.__setattr__(self, "c_e", complex(self.c_e))
+        _require_finite_atom(self.c_g, self.c_e)
         norm2 = abs(self.c_g) ** 2 + abs(self.c_e) ** 2
         if abs(norm2 - 1.0) > _NORM_TOL:
             raise InvalidStateError(
@@ -147,6 +153,7 @@ class AtomState:
 
     @classmethod
     def normalized(cls, c_g: complex, c_e: complex) -> "AtomState":
+        _require_finite_atom(complex(c_g), complex(c_e))
         norm = math.hypot(abs(complex(c_g)), abs(complex(c_e)))
         if norm == 0.0:
             raise InvalidStateError("atomic state has zero norm")

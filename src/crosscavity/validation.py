@@ -3,10 +3,10 @@
 Runs every kernel index combination up to a given total excitation through
 both evaluation routes at randomly sampled momentum points and reports the
 worst disagreement against a relative tolerance with an absolute floor.
-Both routes run once per index over all of a block's points: the closed
-form builds one radial table per index, and the quadrature oracle transforms
-each radial table the block reads once, over all of the block's momentum
-magnitudes, before any index reads it.
+The closed form runs once per index over all of a block's points, with one
+radial table per index; the quadrature oracle takes the whole block in one
+call, which transforms each radial table the block reads once, over all of
+the block's momentum magnitudes, before any index reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .kernel import KernelIndices, MomentumPoint, fourier_analytic
-from .quadrature import QuadratureOracle, QuadratureSpec, SlitProfile, _reach
+from .quadrature import QuadratureOracle, QuadratureSpec, SlitProfile
 from .states import CouplingParams
 
 
@@ -62,29 +62,6 @@ def _tuple_set(max_total: int) -> List[Tuple[int, int, int, str, int]]:
     return out
 
 
-def _transform_tables(oracle: QuadratureOracle, block: Sequence[KernelIndices], points) -> None:
-    """Transform every radial table that ``block`` reads at ``points``, before any amplitude is read.
-
-    One ``_radial_spectra`` call per harmonic reach (in order of first use)
-    and run of magnitudes, with the tables in order of first use, so a table
-    that misses the radial tolerance raises what the point-by-point battery
-    raises: the first failing point, then its first failing table.  In
-    ``_tuple_set`` order the ground indices of a block of total ``N`` read
-    every table ``n = 0..N``, at the reach of ``N`` and in ascending ``n``,
-    before any excited index reads its subset ``n = 1..N`` at a reach no
-    higher; a table's error bound depends on neither reach nor branch, so the
-    first reach finds the failure if there is one.
-    """
-    p_mag = np.array([pt.p_mag for pt in points], dtype=float)
-    tables = {}
-    for idx in block:
-        tables.setdefault(_reach(idx.total - idx.delta), {})[idx.n, idx.branch] = None
-    for reach, keys in tables.items():
-        shift = math.sqrt(max(n for n, _ in keys)) * oracle.params.lam
-        for mags, _ in oracle._magnitude_runs(p_mag, shift, reach):
-            oracle._radial_spectra(mags, list(keys), reach)
-
-
 def kernel_battery(
     lams: Sequence[float] = (5.0, 20.0),
     kdrs: Sequence[float] = (0.1, 0.3),
@@ -100,11 +77,12 @@ def kernel_battery(
 
     The tolerance per comparison is ``rtol * max(|F_numeric|, floor)``.
     Points are drawn uniformly with ``p in [0, 2 sqrt(N) lam]`` per block
-    and shared across all index tuples of that block.  Each side is one call
-    per index over the block's points: ``fourier_analytic`` builds one radial
-    table per index, and the oracle's ``fourier`` reads radial spectra that
-    :func:`_transform_tables` filled once per table over the block's
-    magnitudes.  Records come point-major, indices in ``_tuple_set`` order.
+    and shared across all index tuples of that block.  ``fourier_analytic``
+    builds one radial table per index over the block's points, and the
+    oracle's ``fourier`` takes the whole block at once (one transform per
+    radial table over the block's magnitudes; it raises what point-by-point
+    calls would raise first).  Records come point-major, indices in
+    ``_tuple_set`` order.
     """
     records: List[BatteryRecord] = []
     for lam in lams:
@@ -119,8 +97,7 @@ def kernel_battery(
                 block = [KernelIndices(*t) for t in tuples if t[0] == total]
                 block_points = [MomentumPoint(float(p), float(a)) for p, a in zip(p_vals, a_vals)]
                 analytic = [fourier_analytic(idx, block_points, params).tolist() for idx in block]
-                _transform_tables(oracle, block, block_points)
-                numeric = [oracle.fourier(idx, block_points).tolist() for idx in block]
+                numeric = oracle.fourier(block, block_points).tolist()
                 for j, point in enumerate(block_points):
                     for idx, fa_row, fn_row in zip(block, analytic, numeric):
                         fa, fn = fa_row[j], fn_row[j]

@@ -2,13 +2,18 @@
 
 ``perfbench/tracing.py`` looks traced functions up by name, so renaming one
 breaks the benchmark; this test runs its install/remove cycle against the
-package.
+package, and replays each workload's self-check on one seeded round, so a
+change that empties a layer a workload lists fails here first.
 """
 
 import importlib
+import json
+import shutil
 from pathlib import Path
 
-from crosscavity import AtomState, CouplingParams, GridSpec, distribution, noon_state, validation
+import pytest
+
+from crosscavity import AtomState, CouplingParams, GridSpec, cli, distribution, noon_state, validation
 from crosscavity.quadrature import QuadratureOracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -67,4 +72,32 @@ def test_traced_quick_battery_reaches_both_kernel_routes(monkeypatch):
     assert names.count("validation.kernel_battery") == 1
     assert names.count("kernel.fourier_analytic") == 36
     assert names.count("kernel.mode_radial_table") == 36
-    assert names.count("quadrature.fourier") == 36
+    assert names.count("quadrature.fourier") == 2  # one per block
+
+
+@pytest.mark.parametrize("name", ["render", "readout", "oracle"])
+def test_workload_self_check_holds_on_one_round(monkeypatch, tmp_path, name):
+    # the benchmark's self-check, replayed: the opening operation plus one
+    # seeded round through cli.main under the tracer must reach every layer
+    # the workload lists under exercises and none of those under bypasses
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from tracing import Tracer
+    from workloads import WORKLOADS, argv, rounds, spec_document
+
+    workload = WORKLOADS[name]
+    spec, out = tmp_path / "state.json", tmp_path / "out"
+    tracer = Tracer()
+    try:
+        tracer.install()
+        for k, op in enumerate([workload.opening, *next(rounds(name, 1))]):
+            tracer.op = k
+            doc = spec_document(op)
+            if doc is not None:
+                spec.write_text(json.dumps(doc))
+            assert cli.main(argv(op, str(spec), str(out))) == 0, op
+            shutil.rmtree(out)
+    finally:
+        tracer.remove()
+    values = tracer.metrics()
+    assert [key for key in workload.exercises if values[key] == 0] == []
+    assert [key for key in workload.bypasses if values[key] != 0] == []

@@ -421,11 +421,12 @@ def test_oversized_radial_rule_refused_before_allocation():
     # a transform holds, per node, reach + 1 Bessel rows and _NODE_WORK work
     # rows, per panel and check angle _ANGLE_WORK edge-factor entries, and the
     # Bessel chunk scratch; one panel past the limit is refused, and nothing
-    # is built or cached on the way
+    # is built or kept on the way
     from crosscavity import quadrature
     from crosscavity.quadrature import MAX_RULE_ENTRIES, AccuracyError
 
     oracle = QuadratureOracle(PARAMS)
+    state = dict(vars(oracle))
     per_panel = 24 * (4 + 1 + quadrature._NODE_WORK) + 2 * quadrature._ANGLE_WORK
     limit = (MAX_RULE_ENTRIES - quadrature._bessel_scratch(4, 1 << 40)) // per_panel
     with pytest.raises(AccuracyError, match="rule entries"):
@@ -434,9 +435,9 @@ def test_oversized_radial_rule_refused_before_allocation():
         oracle._rule(50.0, 1 << 40, 24, 4)
     with pytest.raises(AccuracyError, match="rule entries"):
         oracle._rule(50.0, 8, 24, 1 << 40)
-    assert not oracle._rules and not oracle._edges and not oracle._panel_cache
-    oracle._rule(50.0, limit, 24, 4)
-    assert oracle._rules
+    assert vars(oracle) == state and not oracle._panel_cache
+    edge, offset = oracle._rule(50.0, limit, 24, 4)
+    assert edge.shape == (limit, 2) and offset.shape == (24, 2) and oracle._panel_cache
 
 
 def test_accepted_radial_transforms_stay_within_rule_budget(monkeypatch):
@@ -557,7 +558,7 @@ def test_minus_branch_spectrum_matches_direct_table(lam, kdr):
 
 
 def test_numeric_grid_transforms_plus_branch_only(monkeypatch):
-    # every radial transform is a plus-branch (or n = 0) table: the calls cover
+    # every radial transform is of plus-branch (or n = 0) tables: the calls cover
     # K + 1 (table, magnitude) pairs per radius for the deflected totals up to
     # K = 4 of NOON-3 with a superposed atom
     from crosscavity import GridSpec, w_grid
@@ -572,8 +573,8 @@ def test_numeric_grid_transforms_plus_branch_only(monkeypatch):
     monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
     grid = GridSpec(radial_points=4, angular_points=5, p_max=60.0)
     w_grid(noon_state(3), AtomState.normalized(1.0, 0.5j), PARAMS, grid=grid, kernel="numeric")
-    assert sum(np.size(p_mag) for p_mag, _, _ in calls) == (4 + 1) * grid.radial_points
-    assert all(shift >= 0.0 for _, shift, _ in calls)
+    assert sum(np.size(p_mag) * np.size(shift) for p_mag, shift, _ in calls) == (4 + 1) * grid.radial_points
+    assert all(np.all(np.asarray(shift) >= 0.0) for _, shift, _ in calls)
 
 
 def test_bessel_j_matches_scipy():
@@ -878,3 +879,58 @@ def test_fourier_over_many_magnitudes_stays_within_rule_budget(monkeypatch):
     assert peak <= 8 * quadrature.MAX_RULE_ENTRIES
     assert sum(batches) == len(points)
     assert 1 < max(batches) < len(points)
+
+
+@pytest.mark.parametrize("kind", ["exponential", "tabulated"])
+def test_fourier_block_rows_equal_per_index_calls(kind):
+    # one call over a block whose indices read reaches 4 and 8, both branches
+    # and both atom levels gives, row by row, one call per index over the
+    # same points, with magnitude 0 and repeated magnitudes among them
+    rho = np.linspace(0.0, 1.5, 300)
+    tabulated = SlitProfile.tabulated(rho, np.exp(-rho / 0.2) * (1.2 + np.cos(9.0 * rho)))
+    profile, quad = (None, None) if kind == "exponential" else (tabulated, QuadratureSpec(radial_rel_tol=1e-7))
+    params = CouplingParams(20.0, 0.3)
+    pairs = [(31.0, 0.2), (0.0, 1.0), (12.5, 4.0), (31.0, 2.9), (0.0, 5.5), (47.0, 0.2)]
+    points = [MomentumPoint(p, a) for p, a in pairs]
+    tuples = [(6, 4, 3, "e"), (1, 0, 1, "g"), (3, 1, 2, "e"), (5, 2, 5, "g"), (2, 2, 0, "g"), (6, 6, 6, "g")]
+    block = [KernelIndices(*t, branch) for t in tuples for branch in (1, -1)]
+    got = QuadratureOracle(params, profile, quad).fourier(block, points)
+    assert got.shape == (len(block), len(points)) and got.dtype == complex
+    single = QuadratureOracle(params, profile, quad)
+    for row, idx in zip(got, block):
+        assert row.tolist() == single.fourier(idx, points).tolist(), idx
+
+
+def test_fourier_return_shapes_and_empty_sequences():
+    oracle = QuadratureOracle(PARAMS)
+    block = [KernelIndices(2, 1, 2, "g", -1), KernelIndices(1, 1, 1, "e", 1)]
+    points = [MomentumPoint(17.0, 0.4), MomentumPoint(3.0, 2.0), MomentumPoint(17.0, 5.0)]
+    table = oracle.fourier(block, points)
+    assert table.shape == (2, 3) and table.dtype == complex
+    value = oracle.fourier(block[0], points[1])
+    assert type(value) is complex and value == table[0, 1]
+    assert oracle.fourier(block[1], points).tolist() == table[1].tolist()
+    assert oracle.fourier(block, points[2]).tolist() == table[:, 2].tolist()
+    empties = {
+        (0,): [oracle.fourier([], points[0]), oracle.fourier(block[0], [])],
+        (0, 3): [oracle.fourier([], points)],
+        (2, 0): [oracle.fourier(block, [])],
+        (0, 0): [oracle.fourier([], [])],
+    }
+    for shape, values in empties.items():
+        for empty in values:
+            assert empty.shape == shape and empty.dtype == complex
+
+
+def test_oracle_keeps_only_its_init_state():
+    # nothing that depends on the momenta outlives a call: after fourier and
+    # w_density calls the oracle holds exactly the attributes __init__ set
+    oracle = QuadratureOracle(PARAMS)
+    keys = set(vars(oracle))
+    assert keys == {"params", "profile", "quad", "_rho_max", "_mass", "_panel_cache", "_harmonics"}
+    points = [MomentumPoint(p, 0.3) for p in (0.0, 12.0, 31.0, 12.0)]
+    oracle.fourier(KernelIndices(2, 1, 2, "g", -1), points[1])
+    oracle.fourier([KernelIndices(6, 2, 1, "g", 1), KernelIndices(1, 1, 1, "e", -1)], points)
+    oracle.w_density(noon_state(2), AtomState.normalized(1.0, 0.5j), points)
+    oracle.w_density(noon_state(1), AtomState.ground(), points[0])
+    assert set(vars(oracle)) == keys

@@ -80,15 +80,16 @@ def test_quick_battery_transforms_each_plus_table_once_per_block(monkeypatch):
     transform = QuadratureOracle._radial_transform
 
     def counting(self, p_mag, shift, reach):
-        calls.append((np.size(p_mag), shift >= 0.0))
+        calls.append((np.size(p_mag), np.size(shift), bool(np.all(np.asarray(shift) >= 0.0))))
         return transform(self, p_mag, shift, reach)
 
     monkeypatch.setattr(QuadratureOracle, "_radial_transform", counting)
     summary = kernel_battery(**QUICK)
     assert len(summary.records) == 288
-    # plus-branch tables n = 0, 1 of block 1 and n = 0..2 of block 2, each over
-    # the block's 8 magnitudes; the point-by-point loop makes 40 one-magnitude calls
-    assert calls == [(8, True)] * 5
+    # one call per block over its 8 magnitudes: plus-branch tables n = 0, 1 of
+    # block 1 and n = 0..2 of block 2; the point-by-point loop makes 40
+    # one-magnitude, one-table calls
+    assert calls == [(8, 2, True), (8, 3, True)]
 
 
 def _first_point_by_point_refusal(lams, kdrs, max_total, points, quad, seed=20240):
