@@ -54,7 +54,7 @@ gauss = SlitProfile.tabulated(rho, np.exp(-((rho / 0.25) ** 2)))
 g_oracle = QuadratureOracle(params, profile=gauss)
 idx = KernelIndices(1, 1, 1, "e", 1)
 radii = np.linspace(10.0, 30.0, 41)
-mags = np.abs(g_oracle.fourier(idx, [MomentumPoint(float(p), 0.0) for p in radii]))
+mags = np.abs(g_oracle.fourier(idx, MomentumPoint(radii, np.zeros_like(radii))))
 peak = radii[int(np.argmax(mags))]
 width = 0.5 / params.k_delta_r
 print(f"|F| maximal at p = {peak:.2f}; ring prediction sqrt(1) lam = {params.lam},")

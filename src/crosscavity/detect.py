@@ -25,6 +25,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distribution import (
+    PHI_POINTS,
     PopulationSpectrum,
     _Channel,
     _density_table,
@@ -63,22 +64,21 @@ def _ring_argmax(
     channels: Sequence[_Channel],
     params: CouplingParams,
     ring: float,
-    phi_points: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(folded, raw) angular argmax of W on the given ring radius, per state of the stack.
 
     Both are NaN for a state whose ring density is below 1e-12 everywhere;
     a NaN or Inf density raises ``AccuracyError``.
     """
-    dens = _density_table(channels, np.array([ring]), phi_points, params)[:, 0]
+    dens = _density_table(channels, np.array([ring]), PHI_POINTS, params)[:, 0]
     if not np.isfinite(dens).all():
         raise AccuracyError(f"density on ring p = {ring:g} holds NaN or Inf")
     j = np.argmax(dens, axis=1)
     rows = np.arange(len(dens))
-    y1, y2, y3 = dens[rows, j - 1], dens[rows, j], dens[rows, (j + 1) % phi_points]
+    y1, y2, y3 = dens[rows, j - 1], dens[rows, j], dens[rows, (j + 1) % PHI_POINTS]
     denom = y1 - 2.0 * y2 + y3
     offset = np.divide(0.5 * (y1 - y3), denom, out=np.zeros_like(denom), where=denom != 0.0)
-    step = _TWO_PI / phi_points
+    step = _TWO_PI / PHI_POINTS
     raw = (j * step + offset * step) % _TWO_PI
     # the one-photon pattern repeats under rotation by pi and reflects about
     # its own axes; fold the argmax into [0, pi/2] where the concurrence map
@@ -99,17 +99,17 @@ def rotation_angle(
     atom: AtomState,
     params: CouplingParams,
     ring: Optional[float] = None,
-    phi_points: int = 720,
 ) -> float:
     """Pattern rotation angle: refined angular argmax of W on ``ring``.
 
-    Defaults to the outer one-photon ring ``sqrt(2) lam``.  Grid argmax is
-    refined by a three-point parabola, giving resolution well below 0.2 deg.
+    Defaults to the outer one-photon ring ``sqrt(2) lam``.  The argmax on
+    ``PHI_POINTS`` uniform angles is refined by a three-point parabola,
+    giving resolution well below 0.2 deg.
     """
     ring = math.sqrt(2.0) * params.lam if ring is None else float(ring)
     if ring <= 0.0:
         raise ValueError(f"ring radius must be positive, got {ring!r}")
-    folded, _ = _ring_argmax(channel_tables(state, atom), params, ring, phi_points)
+    folded, _ = _ring_argmax(channel_tables(state, atom), params, ring)
     if math.isnan(folded[0]):
         raise NoSignalError(_dark_ring(ring))
     return float(folded[0])
@@ -171,7 +171,6 @@ def detect(
     abs_threshold: float = 0.02,
     rel_threshold: float = 0.1,
     ring: Optional[float] = None,
-    phi_points: int = 720,
 ) -> DetectionReport:
     """Run both criteria and collect everything into one report.
 
@@ -180,7 +179,7 @@ def detect(
     from the exact estimator.  A NaN or Inf density on the readout ring
     raises ``AccuracyError``.  The one-state case of :func:`detect_stack`.
     """
-    return detect_stack([state], atom, params, abs_threshold, rel_threshold, ring, phi_points)[0]
+    return detect_stack([state], atom, params, abs_threshold, rel_threshold, ring)[0]
 
 
 def detect_stack(
@@ -190,7 +189,6 @@ def detect_stack(
     abs_threshold: float = 0.02,
     rel_threshold: float = 0.1,
     ring: Optional[float] = None,
-    phi_points: int = 720,
 ) -> List[DetectionReport]:
     """:func:`detect` for each state of a stack on the same photon blocks, in one pass.
 
@@ -204,7 +202,7 @@ def detect_stack(
     theta_m = theta_raw = [None] * len(states)
     if one_photon:
         ring = math.sqrt(2.0) * params.lam if ring is None else float(ring)
-        folded, raw = _ring_argmax(channel_tables(states, atom), params, ring, phi_points)
+        folded, raw = _ring_argmax(channel_tables(states, atom), params, ring)
         theta_m = [None if math.isnan(t) else float(t) for t in folded]
         theta_raw = [None if math.isnan(t) else float(t) for t in raw]
 

@@ -84,6 +84,9 @@ from .states import (
 
 _TWO_PI = 2.0 * math.pi
 
+PHI_POINTS = 720  # uniform angles per radius: eq8, window and the rotation readout
+BAND_POINTS = 320  # radii per band of the window estimator
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -231,7 +234,9 @@ def w_point(
     point: MomentumPoint,
     params: CouplingParams,
 ) -> float:
-    """Momentum density at a single point (closed-form kernels)."""
+    """Momentum density at a single point (closed-form kernels); an array point is refused."""
+    if np.ndim(point.p_mag):
+        raise ValueError("w_point takes one momentum point, not an array point; use w_grid for many")
     channels = channel_tables(state, atom)
     deltas, table = _autocorrelation(channels, np.array([point.p_mag]), params)
     return float((table[0, :, 0] @ np.exp(1j * deltas * point.p_ang)).real)
@@ -249,11 +254,11 @@ def w_grid(
     """Fill a polar grid with the momentum density.
 
     ``kernel="analytic"`` uses the closed form (exponential profile only);
-    ``kernel="numeric"`` hands all grid points, row-major, to one
-    :meth:`~crosscavity.quadrature.QuadratureOracle.w_density` call, which
-    transforms the radial tables of all radii together and contracts every
-    angle of a radius at once; it accepts arbitrary profiles but is far
-    slower than the closed form.
+    ``kernel="numeric"`` hands all grid points, row-major, as one array
+    point to one :meth:`~crosscavity.quadrature.QuadratureOracle.w_density`
+    call, which transforms the radial tables of all radii together and
+    contracts every angle of a radius at once; it accepts arbitrary profiles
+    but is far slower than the closed form.
     """
     grid = grid or GridSpec()
     p_max = grid.p_max if grid.p_max is not None else default_p_max(state, params)
@@ -274,7 +279,7 @@ def w_grid(
         _check_profile(profile, params)
         dens = _density_table(channel_tables(state, atom), p, grid.angular_points, params)[0]
     elif kernel == "numeric":
-        points = [MomentumPoint(pv, av) for pv in p for av in phi]
+        points = MomentumPoint(np.repeat(p, phi.size), np.tile(phi, p.size))
         dens = QuadratureOracle(params, profile, quad).w_density(state, atom, points).reshape(p.size, phi.size)
     else:
         raise ValueError(f"unknown kernel mode {kernel!r}")
@@ -330,8 +335,6 @@ def populations(
     params: CouplingParams,
     estimator: str = "exact",
     theta_points: Optional[int] = None,
-    phi_points: int = 720,
-    band_points: int = 320,
 ) -> PopulationSpectrum:
     """Ring populations P_n by the chosen estimator (see module docstring).
 
@@ -339,8 +342,8 @@ def populations(
     estimator.  By default it is ``2 N + 1`` for the largest block total
     ``N``, the smallest count at which the rule is exact; a larger count
     gives the same weights to rounding, and ``2 N`` or fewer is refused with
-    ``ValueError``.  ``phi_points`` and ``band_points`` set the angle and
-    radius samples of ``eq8`` and ``window``.
+    ``ValueError``.  ``eq8`` and ``window`` take ``PHI_POINTS`` angles per
+    radius and ``window`` ``BAND_POINTS`` radii per band.
 
     Raises ``AccuracyError`` when a population is NaN or Inf (for example
     when the radial factors overflow at a huge ``lam``).
@@ -348,9 +351,9 @@ def populations(
     if estimator == "exact":
         return exact_populations([state], atom, theta_points)[0]
     if estimator == "eq8":
-        spectrum = _populations_ringline(state, atom, params, phi_points)
+        spectrum = _populations_ringline(state, atom, params)
     elif estimator == "window":
-        spectrum = _populations_window(state, atom, params, phi_points, band_points)
+        spectrum = _populations_window(state, atom, params)
     else:
         raise ValueError(f"unknown estimator {estimator!r}")
     _check_finite(spectrum)
@@ -407,15 +410,13 @@ def exact_populations(
     return spectra
 
 
-def _populations_ringline(
-    state: TwoModeState, atom: AtomState, params: CouplingParams, phi_points: int
-) -> PopulationSpectrum:
+def _populations_ringline(state: TwoModeState, atom: AtomState, params: CouplingParams) -> PopulationSpectrum:
     n_max = _n_max(state, atom)
     if n_max < 1:
         raise ValueError("no deflected rings for this state/atom combination")
     channels = channel_tables(state, atom)
     radii = np.array([params.lam * math.sqrt(n) for n in range(1, n_max + 1)])
-    raw = radii * _angular_mean(channels, radii, phi_points, params)[0] * _TWO_PI
+    raw = radii * _angular_mean(channels, radii, PHI_POINTS, params)[0] * _TWO_PI
     total = float(raw.sum())
     warnings = []
     over = _overlap_warning(params, n_max)
@@ -437,19 +438,13 @@ def _band_edges(n: int, params: CouplingParams) -> Tuple[float, float]:
     return lo, hi
 
 
-def _populations_window(
-    state: TwoModeState,
-    atom: AtomState,
-    params: CouplingParams,
-    phi_points: int,
-    band_points: int,
-) -> PopulationSpectrum:
+def _populations_window(state: TwoModeState, atom: AtomState, params: CouplingParams) -> PopulationSpectrum:
     n_max = _n_max(state, atom)
     channels = channel_tables(state, atom)
     ns = ([0] if abs(atom.c_g) > 0 else []) + list(range(1, n_max + 1))
     # every band's radii in one array, so the angular mean is one pass
-    p_bands = np.array([np.linspace(*_band_edges(n, params), band_points) for n in ns])
-    angular = _angular_mean(channels, p_bands.ravel(), phi_points, params)[0] * _TWO_PI
+    p_bands = np.array([np.linspace(*_band_edges(n, params), BAND_POINTS) for n in ns])
+    angular = _angular_mean(channels, p_bands.ravel(), PHI_POINTS, params)[0] * _TWO_PI
     entries = [
         SpectrumEntry(n, float(np.trapezoid(band * p_band, p_band)), "window")
         for n, p_band, band in zip(ns, p_bands, angular.reshape(p_bands.shape))

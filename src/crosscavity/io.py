@@ -24,7 +24,6 @@ on the parse result.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -154,12 +153,7 @@ def parse_state_spec(text) -> ParsedSpec:
         except InvalidStateError as exc:
             raise StateSpecError(str(exc)) from None
 
-    norm2 = raw_state.norm_squared()
-    if norm2 == math.inf:
-        raise StateSpecError("squared norm overflows a float")
-    if norm2 == 0.0:
-        raise StateSpecError("state spec has zero norm")
-    try:
+    try:  # refuses a zero norm and one beyond the float range
         state = normalize(raw_state)
     except InvalidStateError as exc:
         raise StateSpecError(str(exc)) from None
@@ -197,7 +191,7 @@ def parse_state_spec(text) -> ParsedSpec:
         state=state,
         atom=atom,
         params=params,
-        norm_correction=1.0 / math.sqrt(norm2),
+        norm_correction=1.0 / raw_state.norm(),
         builder=dict(builder_doc) if builder_doc else None,
     )
 

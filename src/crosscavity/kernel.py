@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -83,20 +83,35 @@ class KernelIndices:
 
 @dataclass(frozen=True)
 class MomentumPoint:
-    """Dimensionless momentum magnitude >= 0 and angle wrapped to [0, 2pi)."""
+    """Dimensionless momentum magnitudes >= 0 and angles wrapped to [0, 2pi).
 
-    p_mag: float
-    p_ang: float
+    Two scalars give one point with ``float`` fields; two 1-d arrays of one
+    length give that many points, as read-only copies.  Checked once, here:
+    magnitudes finite and >= 0, angles finite, then wrapped by
+    ``np.remainder``, which gives the double of Python's ``phi % (2 pi)``.
+    """
+
+    p_mag: Union[float, np.ndarray]
+    p_ang: Union[float, np.ndarray]
 
     def __post_init__(self):
-        p = float(self.p_mag)
-        if not (math.isfinite(p) and p >= 0.0):
-            raise ValueError(f"momentum magnitude must be >= 0, got {self.p_mag!r}")
-        phi = float(self.p_ang)
-        if not math.isfinite(phi):
-            raise ValueError(f"momentum angle must be finite, got {self.p_ang!r}")
+        p, phi = np.array(self.p_mag, dtype=float), np.array(self.p_ang, dtype=float)
+        if p.ndim > 1 or p.shape != phi.shape:
+            raise ValueError(f"momentum point: two scalars or two 1-d arrays of one size, got {p.shape}, {phi.shape}")
+        for values, bad, message in (
+            (p, ~(np.isfinite(p) & (p >= 0.0)), "momentum magnitude must be >= 0, got"),
+            (phi, ~np.isfinite(phi), "momentum angle must be finite, got"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                at = f" at index {i}" if values.ndim else ""
+                raise ValueError(f"{message} {float(values.flat[i])!r}{at}")
+        np.remainder(phi, 2.0 * math.pi, out=phi)
+        p.flags.writeable = phi.flags.writeable = False
+        if p.ndim == 0:
+            p, phi = float(p), float(phi)
         object.__setattr__(self, "p_mag", p)
-        object.__setattr__(self, "p_ang", phi % (2.0 * math.pi))
+        object.__setattr__(self, "p_ang", phi)
 
 
 def gamma(n: int, params: CouplingParams, branch: int) -> complex:
@@ -192,26 +207,22 @@ def _check_profile(profile, params: CouplingParams) -> None:
 
 def fourier_analytic(
     idx: KernelIndices,
-    point: Union[MomentumPoint, Sequence[MomentumPoint]],
+    point: MomentumPoint,
     params: CouplingParams,
     profile=None,
 ) -> Union[complex, np.ndarray]:
-    """Closed-form kernel amplitude at one momentum point or at each of a sequence.
+    """Closed-form kernel amplitude at one momentum point or at each point of an array point.
 
-    One ``MomentumPoint`` gives a ``complex``; a sequence gives a complex
-    array, one entry per point, from one ``mode_radial_table`` over all the
-    radii and a ``(points, harmonics)`` phase table.  Each entry is summed
-    over the contiguous harmonic axis, so it equals the one-point value bit
-    for bit.
+    One point gives a ``complex``; an array point gives a complex array, one
+    entry per point, from one ``mode_radial_table`` over all the radii and a
+    ``(points, harmonics)`` phase table.  Each entry is summed over the
+    contiguous harmonic axis, so it equals the one-point value bit for bit.
     """
     _check_profile(profile, params)
-    single = isinstance(point, MomentumPoint)
-    points = [point] if single else point
-    p_mag = np.array([pt.p_mag for pt in points], dtype=float)
-    p_ang = np.array([pt.p_ang for pt in points], dtype=float)
+    p_mag, p_ang = np.atleast_1d(point.p_mag, point.p_ang)
     w_values, coeffs = harmonic_coefficients(idx)
     g = gamma(idx.n, params, idx.branch)
     radial = mode_radial_table(np.abs(w_values), p_mag, g, params.k_delta_r)
     phases = np.exp(1j * np.outer(p_ang, w_values))
     values = (coeffs * phases * radial.T).sum(axis=-1)
-    return complex(values[0]) if single else values
+    return complex(values[0]) if np.ndim(point.p_mag) == 0 else values

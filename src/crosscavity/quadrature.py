@@ -58,8 +58,8 @@ equals ``sum_k dhat_k exp(i k phi) Rf[-k]``.  :class:`QuadratureOracle` keeps
 the ``2N+1`` coefficients ``dhat`` per rotation index, sampled from
 ``d_coeff`` on ``2N+1`` angles, and each amplitude is one short contraction
 with the spectrum of its radial table, which makes full validation batteries
-tractable.  Both evaluations take sequences of points and transform each
-table they read once over all their distinct magnitudes: ``fourier`` for one
+tractable.  Both evaluations take array points and transform each table
+they read once over all their distinct magnitudes: ``fourier`` for one
 kernel index or a block of them (the validation battery asks once per block
 over the block's points), and ``w_density`` for a whole grid, contracting
 every angle of a radius in one product.
@@ -419,7 +419,7 @@ def _by_magnitude(p_mag: np.ndarray):
 class QuadratureOracle:
     """Batch evaluator for the direct-quadrature kernel.
 
-    ``fourier`` and ``w_density`` take one point or a sequence of them, and
+    ``fourier`` and ``w_density`` take one point or an array point, and
     ``fourier`` one kernel index or a sequence of them.  Each call reads the
     spectra of its radial tables from one :meth:`_radial_spectra` call per
     harmonic reach, which transforms each plus-branch table once over the
@@ -658,20 +658,20 @@ class QuadratureOracle:
     def fourier(
         self,
         idx: Union[KernelIndices, Sequence[KernelIndices]],
-        point: Union[MomentumPoint, Sequence[MomentumPoint]],
+        point: MomentumPoint,
     ) -> Union[complex, np.ndarray]:
-        """Kernel amplitudes of one index or a block of them, at one momentum point or at each of a sequence.
+        """Kernel amplitudes of one index or a block of them, at one momentum point or at each of an array point.
 
-        One :class:`KernelIndices` and one :class:`MomentumPoint` give a
-        ``complex``; one index and a sequence of points give a complex array
-        in point order, a sequence of indices and one point one in index
-        order, and two sequences an ``(index, point)`` array.  The radial
-        tables the indices read are grouped per harmonic reach, in order of
-        first use, and each group's spectra come from one
-        :meth:`_radial_spectra` call over the points' distinct magnitudes.
+        One :class:`KernelIndices` and one point give a ``complex``; one index
+        and an array point give a complex array in point order, a sequence of
+        indices and one point one in index order, and a sequence of indices
+        and an array point an ``(index, point)`` array.  The radial tables
+        the indices read are grouped per harmonic reach, in order of first
+        use, and each group's spectra come from one :meth:`_radial_spectra`
+        call over the points' distinct magnitudes.
         Each index's amplitude at point ``j`` is then row ``j`` of ``exp(i
         outer(p_ang, k)) spec dhat`` summed over ``k``, which reads no other
-        row, so a sequence gives the one-point values bit for bit.
+        row, so an array point gives the one-point values bit for bit.
 
         Every table is transformed before any amplitude is read, so a table
         that misses the radial tolerance raises for the first failing point,
@@ -685,10 +685,9 @@ class QuadratureOracle:
         one.
         """
         indices = [idx] if isinstance(idx, KernelIndices) else list(idx)
-        points = [point] if isinstance(point, MomentumPoint) else point
-        p_mag = np.array([pt.p_mag for pt in points], dtype=float)
+        p_mag, p_ang = np.atleast_1d(point.p_mag, point.p_ang)
         mags, members, counts = _by_magnitude(p_mag)
-        p_ang = np.array([pt.p_ang for pt in points], dtype=float)[members]
+        p_ang = p_ang[members]
         tables: Dict[int, dict] = {}
         for i in indices:
             tables.setdefault(_reach(i.total - i.delta), {})[i.n, i.branch] = None
@@ -705,26 +704,23 @@ class QuadratureOracle:
             # the spectrum is even in k, so its slice on -top..top is Rf[-k]
             spec = spectra[reach, (i.n, i.branch)][:, reach - top : reach + top + 1]
             out[row, members] = (np.exp(1j * np.outer(p_ang, k)) * spec * dhat).sum(axis=-1)
-        if isinstance(point, MomentumPoint):
+        if np.ndim(point.p_mag) == 0:
             out = out[:, 0]
         if isinstance(idx, KernelIndices):
             out = out[0]
         return complex(out) if out.ndim == 0 else out
 
-    def w_density(self, state: TwoModeState, atom: AtomState, point):
+    def w_density(self, state: TwoModeState, atom: AtomState, point: MomentumPoint) -> Union[float, np.ndarray]:
         """Momentum density assembled from numeric kernels (oracle route).
 
-        ``point`` is one :class:`MomentumPoint`, giving a float, or a sequence
-        of them, giving an array in the same order.  One
-        :meth:`_radial_spectra` call gives the spectra of every table of the
-        channel plan of ``(state, atom)`` at the points' distinct magnitudes;
-        then, per magnitude, the plan times the spectra is a channel x
-        harmonic matrix that ``exp(i k p_ang)`` contracts at every angle of
-        that radius.
+        ``point`` is one point, giving a float, or an array point, giving an
+        array in point order.  One :meth:`_radial_spectra` call gives the
+        spectra of every table of the channel plan of ``(state, atom)`` at the
+        points' distinct magnitudes; then, per magnitude, the plan times the
+        spectra is a channel x harmonic matrix that ``exp(i k p_ang)``
+        contracts at every angle of that radius.
         """
-        points = [point] if isinstance(point, MomentumPoint) else point
-        p_mag = np.array([pt.p_mag for pt in points], dtype=float)
-        p_ang = np.array([pt.p_ang for pt in points], dtype=float)
+        p_mag, p_ang = np.atleast_1d(point.p_mag, point.p_ang)
         out = np.zeros(p_mag.size)
         keys, rows, coeffs, weights, k = self._channel_plan(state, atom)
         if keys and p_mag.size:
@@ -735,7 +731,7 @@ class QuadratureOracle:
             for at, spectrum in zip(np.split(members, np.cumsum(counts)[:-1]), spectra):
                 amps = (coeffs * spectrum[rows]) @ np.exp(1j * np.outer(k, p_ang[at]))
                 out[at] = weights @ (np.abs(amps) ** 2)
-        return float(out[0]) if isinstance(point, MomentumPoint) else out
+        return float(out[0]) if np.ndim(point.p_mag) == 0 else out
 
     def _channel_plan(self, state: TwoModeState, atom: AtomState):
         """``(keys, rows, coeffs, weights, k)``: the channel sum of ``w_density``.
@@ -763,8 +759,8 @@ def fourier_numeric(
     params: CouplingParams,
     profile: Optional[SlitProfile] = None,
     quad: Optional[QuadratureSpec] = None,
-) -> complex:
-    """One kernel amplitude by direct 2D quadrature of the defining integral."""
+) -> Union[complex, np.ndarray]:
+    """Kernel amplitude by direct 2D quadrature of the defining integral, at one point or an array point."""
     return QuadratureOracle(params, profile, quad).fourier(idx, point)
 
 
@@ -775,6 +771,6 @@ def w_numeric(
     params: CouplingParams,
     profile: Optional[SlitProfile] = None,
     quad: Optional[QuadratureSpec] = None,
-) -> float:
-    """Momentum density at one point with all kernels evaluated numerically."""
+) -> Union[float, np.ndarray]:
+    """Momentum density, at one point or an array point, with all kernels evaluated numerically."""
     return QuadratureOracle(params, profile, quad).w_density(state, atom, point)

@@ -67,7 +67,11 @@ class TwoModeState:
             c = complex(value)
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise InvalidStateError(f"amplitude for {key!r} is not finite")
-            if abs(c) < prune:
+            try:
+                modulus = abs(c)
+            except OverflowError:
+                raise InvalidStateError(f"modulus of the amplitude for {key!r} overflows a float") from None
+            if modulus < prune:
                 continue
             if m + n > cap:
                 raise InvalidStateError(f"total photon number {m + n} exceeds support cap {cap}")

@@ -77,12 +77,13 @@ def kernel_battery(
 
     The tolerance per comparison is ``rtol * max(|F_numeric|, floor)``.
     Points are drawn uniformly with ``p in [0, 2 sqrt(N) lam]`` per block
-    and shared across all index tuples of that block.  ``fourier_analytic``
-    builds one radial table per index over the block's points, and the
-    oracle's ``fourier`` takes the whole block at once (one transform per
-    radial table over the block's magnitudes; it raises what point-by-point
-    calls would raise first).  Records come point-major, indices in
-    ``_tuple_set`` order.
+    and shared across all index tuples of that block, as one array point.
+    ``fourier_analytic`` builds one radial table per index over the block's
+    points, and the oracle's ``fourier`` takes the whole block at once (one
+    transform per radial table over the block's magnitudes; it raises what
+    point-by-point calls would raise first).  Records come point-major,
+    indices in ``_tuple_set`` order, each with a one-point ``MomentumPoint``
+    of its own.
     """
     records: List[BatteryRecord] = []
     for lam in lams:
@@ -95,10 +96,10 @@ def kernel_battery(
                 p_vals = rng.uniform(0.0, 2.0 * math.sqrt(total) * lam, size=points)
                 a_vals = rng.uniform(0.0, 2.0 * math.pi, size=points)
                 block = [KernelIndices(*t) for t in tuples if t[0] == total]
-                block_points = [MomentumPoint(float(p), float(a)) for p, a in zip(p_vals, a_vals)]
+                block_points = MomentumPoint(p_vals, a_vals)
                 analytic = [fourier_analytic(idx, block_points, params).tolist() for idx in block]
                 numeric = oracle.fourier(block, block_points).tolist()
-                for j, point in enumerate(block_points):
+                for j, point in enumerate(map(MomentumPoint, p_vals.tolist(), a_vals.tolist())):
                     for idx, fa_row, fn_row in zip(block, analytic, numeric):
                         fa, fn = fa_row[j], fn_row[j]
                         err = abs(fa - fn)

@@ -79,13 +79,22 @@ def test_parse_rejections():
         ({"m": 1, "n": 0, "re": None}, "non-numeric"),
         ({"m": 1, "n": 0, "re": "abc"}, "non-numeric"),
         ({"m": True, "n": 0, "re": 1}, "non-negative integers"),
-        ({"m": 1, "n": 0, "re": 1e300, "im": 1e300}, "overflows"),
+        ({"m": 1, "n": 0, "re": 1.7e308, "im": 1.7e308}, "overflows"),
     ):
         bad.append((json.dumps({"amplitudes": [entry], "params": NOON2["params"]}), fragment))
     for text, fragment in bad:
         with pytest.raises(StateSpecError) as err:
             parse_state_spec(text)
         assert fragment.lower() in str(err.value).lower()
+
+
+def test_parse_scales_moduli_whose_squares_overflow():
+    # |1e300 (1 + i)|^2 overflows a float, its norm does not: the spec is the (1, 1) state
+    doc = {"amplitudes": [{"m": 1, "n": 1, "re": 1e300, "im": 1e300}], "params": NOON2["params"]}
+    parsed = parse_state_spec(json.dumps(doc))
+    assert list(parsed.state.amplitudes) == [(1, 1)]
+    assert abs(parsed.state.amplitudes[(1, 1)] - (1.0 + 1.0j) / math.sqrt(2.0)) <= 1e-15
+    assert parsed.norm_correction == pytest.approx(1.0 / (math.sqrt(2.0) * 1e300), rel=1e-15)
 
 
 def test_parse_rejects_bad_builder_args():

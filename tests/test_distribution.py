@@ -337,6 +337,16 @@ def test_w_point_equals_grid_node():
         assert abs(w_point(state, SUPERPOSED, point, PARAMS) - grid.densities[i, j]) <= tol
 
 
+def test_w_point_refuses_an_array_point():
+    # an array point read as one would give a number, and a wrong one, when
+    # its size equals the count of harmonic differences; every size is refused
+    state = family_state(1, 1)
+    for size in range(1, 20):
+        point = MomentumPoint(np.full(size, 20.0), np.linspace(0.0, 3.0, size))
+        with pytest.raises(ValueError, match="array point"):
+            w_point(state, SUPERPOSED, point, PARAMS)
+
+
 # ---------------------------------------------------------------------------
 # ring populations
 # ---------------------------------------------------------------------------

@@ -193,6 +193,82 @@ def test_momentum_point_rejects_non_finite_angle():
             MomentumPoint(1.0, angle)
 
 
+def _battery_angles(lams=(5.0, 20.0), kdrs=(0.1, 0.3), max_total=4, points=50, seed=20240):
+    """The angles that ``kernel_battery`` draws with these settings (its defaults here)."""
+    angles = []
+    for lam in lams:
+        for kdr in kdrs:
+            rng = np.random.default_rng([seed, int(lam * 1000), int(kdr * 1000)])
+            for total in range(1, max_total + 1):
+                rng.uniform(0.0, 2.0 * math.sqrt(total) * lam, size=points)
+                angles.append(rng.uniform(0.0, 2.0 * math.pi, size=points))
+    return np.concatenate(angles)
+
+
+def test_momentum_point_wrap_matches_python_modulo():
+    # np.remainder gives, angle by angle, the double that Python's float %
+    # gives: on both grids' angles, the full and quick batteries' draws,
+    # random angles and edge values (signed zeros and subnormals included)
+    two_pi = 2.0 * math.pi
+    rng = np.random.default_rng(2004)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, two_pi, -two_pi, math.nextafter(two_pi, 0.0), -5e-324]
+    angles = np.concatenate([
+        np.arange(720) * (two_pi / 720),
+        np.arange(20) * (two_pi / 20),
+        _battery_angles(),
+        _battery_angles(lams=(20.0,), kdrs=(0.1,), max_total=2, points=8),
+        rng.uniform(0.0, two_pi, 100_000),
+        rng.uniform(-50.0, 50.0, 100_000),
+        edges,
+    ])
+    want = np.array([a % two_pi for a in angles.tolist()])
+    assert MomentumPoint(np.zeros(angles.size), angles).p_ang.tobytes() == want.tobytes()
+    for a in edges + angles[::251].tolist():
+        wrapped = MomentumPoint(0.0, a).p_ang
+        assert type(wrapped) is float and math.copysign(1.0, wrapped) == math.copysign(1.0, a % two_pi)
+        assert wrapped == a % two_pi
+
+
+def test_momentum_point_refusals_name_the_first_bad_entry():
+    # one point shows its value as a plain float, as before; an array point
+    # names its first bad entry and that entry's index
+    cases = [
+        ((-1.0, 0.0), "momentum magnitude must be >= 0, got -1.0"),
+        ((np.float64(-1.0), 0.0), "momentum magnitude must be >= 0, got -1.0"),
+        ((math.nan, 0.0), "momentum magnitude must be >= 0, got nan"),
+        ((math.inf, math.nan), "momentum magnitude must be >= 0, got inf"),
+        ((1.0, -math.inf), "momentum angle must be finite, got -inf"),
+        ((np.array([1.0, -2.0, math.nan]), np.zeros(3)), "momentum magnitude must be >= 0, got -2.0 at index 1"),
+        ((np.ones(3), np.array([0.0, 1.0, math.nan])), "momentum angle must be finite, got nan at index 2"),
+    ]
+    for args, text in cases:
+        with pytest.raises(ValueError) as err:
+            MomentumPoint(*args)
+        assert str(err.value) == text
+
+
+def test_momentum_point_shapes_and_read_only_copies():
+    for p_mag, p_ang in [
+        (np.ones((2, 2)), np.ones((2, 2))),
+        (np.ones(3), np.ones(2)),
+        (1.0, np.ones(2)),
+        (np.ones(2), 0.5),
+    ]:
+        with pytest.raises(ValueError, match="two scalars or two 1-d arrays"):
+            MomentumPoint(p_mag, p_ang)
+    p_mag, p_ang = np.array([1.0, 2.0]), np.array([0.5, 7.0])
+    point = MomentumPoint(p_mag, p_ang)
+    for field in (point.p_mag, point.p_ang):
+        assert field.dtype == float and not field.flags.writeable
+        with pytest.raises(ValueError):
+            field[0] = 3.0
+    p_mag[0] = p_ang[0] = 9.0  # the caller's arrays change, the point does not
+    assert point.p_mag.tolist() == [1.0, 2.0]
+    assert point.p_ang.tolist() == [0.5, 7.0 % (2.0 * math.pi)]
+    one = MomentumPoint(np.float64(3.0), np.array(7.0))
+    assert type(one.p_mag) is float and type(one.p_ang) is float
+
+
 def test_r_factor_hand_value():
     idx = KernelIndices(1, 1, 1, "e", 1)
     assert r_factor(idx, 0, 0, 0) == pytest.approx(1.0)
@@ -388,34 +464,36 @@ def _seeded_indices_and_points():
     indices = [KernelIndices(0, 0, 0, "g", b) for b in (1, -1)] + [KernelIndices(*t) for t in _tuple_set(4)]
     p_vals = np.concatenate([[0.0, 0.0], rng.uniform(0.0, 4.0 * PARAMS.lam, size=14)])
     a_vals = np.concatenate([[0.0, 1.3], rng.uniform(0.0, 2.0 * math.pi, size=14)])
-    points = [MomentumPoint(float(p), float(a)) for p, a in zip(p_vals, a_vals)]
-    return indices, points
+    return indices, p_vals, a_vals
 
 
 def test_fourier_analytic_sequence_equals_one_point_calls():
-    indices, points = _seeded_indices_and_points()
+    indices, p_vals, a_vals = _seeded_indices_and_points()
+    points = MomentumPoint(p_vals, a_vals)
+    one_points = [MomentumPoint(float(p), float(a)) for p, a in zip(p_vals, a_vals)]
     assert {idx.epsilon for idx in indices} == {"g", "e"}
     assert {idx.branch for idx in indices} == {1, -1}
     for params in (PARAMS, CouplingParams(5.0, 0.3)):
         for idx in indices:
             values = fourier_analytic(idx, points, params)
-            assert isinstance(values, np.ndarray) and values.shape == (len(points),)
-            one_point = [fourier_analytic(idx, pt, params) for pt in points]
+            assert isinstance(values, np.ndarray) and values.shape == (len(one_points),)
+            one_point = [fourier_analytic(idx, pt, params) for pt in one_points]
             assert all(type(v) is complex for v in one_point)
             assert values.tolist() == one_point
-            assert one_point == [fourier_analytic_one_point(idx, pt, params) for pt in points]
-            # a tuple of points works as well as a list
-            assert fourier_analytic(idx, tuple(points[:3]), params).tolist() == one_point[:3]
+            assert one_point == [fourier_analytic_one_point(idx, pt, params) for pt in one_points]
+            # an array slice works as well as the whole arrays
+            assert fourier_analytic(idx, MomentumPoint(p_vals[:3], a_vals[:3]), params).tolist() == one_point[:3]
 
 
 def test_fourier_analytic_empty_sequence_and_profile_check():
     idx = KernelIndices(2, 1, 2, "g", -1)
-    empty = fourier_analytic(idx, [], PARAMS)
+    nothing = MomentumPoint(np.array([]), np.array([]))
+    empty = fourier_analytic(idx, nothing, PARAMS)
     assert isinstance(empty, np.ndarray) and empty.shape == (0,) and empty.dtype == complex
     rho = np.linspace(0.0, 8.0, 200)
     tab = SlitProfile.tabulated(rho, np.exp(-rho / 0.2))
     for profile in (tab, SlitProfile.exponential(0.2)):
         with pytest.raises(UnsupportedProfileError):
-            fourier_analytic(idx, [MomentumPoint(3.0, 0.0), MomentumPoint(1.0, 2.0)], PARAMS, profile=profile)
+            fourier_analytic(idx, MomentumPoint(np.array([3.0, 1.0]), np.array([0.0, 2.0])), PARAMS, profile=profile)
         with pytest.raises(UnsupportedProfileError):
-            fourier_analytic(idx, [], PARAMS, profile=profile)
+            fourier_analytic(idx, nothing, PARAMS, profile=profile)

@@ -750,18 +750,23 @@ def test_numeric_grid_matches_pointwise_w_density():
         assert np.max(np.abs(dens.densities - ref)) <= 1e-15 * np.max(ref), (state, profile)
 
 
+def _array_point(pairs):
+    """One array point from ``(magnitude, angle)`` pairs, in order."""
+    p_mag, p_ang = np.array(pairs, dtype=float).reshape(-1, 2).T
+    return MomentumPoint(p_mag, p_ang)
+
+
 def test_w_density_sequence_order_and_repeats():
     # any order of points, repeated magnitudes and repeated points give the
     # values of one-point calls, in the order asked
     oracle = QuadratureOracle(PARAMS)
     state, atom = noon_state(2), AtomState.normalized(1.0, -0.4j)
     pairs = [(31.0, 0.2), (0.0, 1.0), (31.0, 4.0), (12.5, 0.2), (31.0, 0.2), (0.0, 3.0)]
-    points = [MomentumPoint(p, a) for p, a in pairs]
-    got = oracle.w_density(state, atom, points)
-    want = [QuadratureOracle(PARAMS).w_density(state, atom, pt) for pt in points]
-    assert got.shape == (len(points),)
+    got = oracle.w_density(state, atom, _array_point(pairs))
+    want = [QuadratureOracle(PARAMS).w_density(state, atom, MomentumPoint(p, a)) for p, a in pairs]
+    assert got.shape == (len(pairs),)
     assert np.max(np.abs(got - want)) <= 1e-15 * max(want)
-    assert oracle.w_density(state, atom, []).shape == (0,)
+    assert oracle.w_density(state, atom, _array_point([])).shape == (0,)
 
 
 def test_w_density_refusal_names_first_failing_magnitude():
@@ -772,20 +777,50 @@ def test_w_density_refusal_names_first_failing_magnitude():
     params = CouplingParams(100.0, 0.3)
     brutal = QuadratureSpec(radial_rel_tol=1e-13, max_radial_refinements=0)
     state, atom = noon_state(2), AtomState.normalized(1.0, 0.5)
-    points = [MomentumPoint(p, 0.4) for p in (3.0, 140.0, 90.0, 140.0, 60.0)]
+    pairs = [(p, 0.4) for p in (3.0, 140.0, 90.0, 140.0, 60.0)]
     first = None
-    for pt in points:
+    for p, a in pairs:
         try:
-            QuadratureOracle(params, quad=brutal).w_density(state, atom, pt)
+            QuadratureOracle(params, quad=brutal).w_density(state, atom, MomentumPoint(p, a))
         except AccuracyError as exc:
             first = exc
             break
-    assert first is not None and pt.p_mag != points[-1].p_mag
+    assert first is not None and p != pairs[-1][0]
     with pytest.raises(AccuracyError) as err:
-        QuadratureOracle(params, quad=brutal).w_density(state, atom, points)
+        QuadratureOracle(params, quad=brutal).w_density(state, atom, _array_point(pairs))
     assert str(err.value) == str(first)
     assert err.value.error_bound == first.error_bound
     assert np.array_equal(err.value.estimate, first.estimate)
+
+
+def test_numeric_grid_builds_one_array_point(monkeypatch):
+    # the grid's points are checked once, as one array point in row-major order
+    from crosscavity import GridSpec, w_grid
+
+    built = []
+    post_init = MomentumPoint.__post_init__
+
+    def counted(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(MomentumPoint, "__post_init__", counted)
+    grid = w_grid(noon_state(2), AtomState.normalized(1.0, 0.5j), PARAMS, GridSpec(10, 20), kernel="numeric")
+    assert len(built) == 1
+    assert built[0].p_mag.tolist() == np.repeat(grid.radial_values, 20).tolist()
+    assert built[0].p_ang.tolist() == np.tile(grid.angular_values, 10).tolist()
+
+
+def test_w_numeric_of_numpy_scalars_is_one_point():
+    # the benchmark's render check passes numpy scalars read from the CSV:
+    # that is one point, with float fields, and its density is a float
+    radii, angles = np.linspace(0.0, 40.0, 9), np.linspace(0.0, 6.0, 5)
+    point = MomentumPoint(radii[4], angles[3])
+    assert type(point.p_mag) is float and type(point.p_ang) is float
+    state, atom = noon_state(2), AtomState.normalized(1.0, 0.5j)
+    value = w_numeric(state, atom, point, PARAMS)
+    assert type(value) is float
+    assert value == pytest.approx(w_point(state, atom, point, PARAMS), rel=1e-6)
 
 
 def test_numeric_grid_over_many_radii_stays_within_rule_budget(monkeypatch):
@@ -827,7 +862,7 @@ def test_fourier_sequence_equals_one_point_calls(kind):
     profile, quad = (None, None) if kind == "exponential" else (tabulated, QuadratureSpec(radial_rel_tol=1e-7))
     params = CouplingParams(20.0, 0.3)
     pairs = [(31.0, 0.2), (0.0, 1.0), (12.5, 4.0), (31.0, 2.9), (0.0, 5.5), (47.0, 0.2), (12.5, 0.2)]
-    points = [MomentumPoint(p, a) for p, a in pairs]
+    points = _array_point(pairs)
     tuples = [(1, 0, 1, "g"), (1, 1, 1, "e"), (2, 2, 0, "g"), (3, 1, 2, "e"), (4, 3, 4, "g"), (5, 2, 5, "g"),
               (6, 4, 3, "e"), (6, 6, 6, "g")]
     oracle = QuadratureOracle(params, profile, quad)
@@ -836,8 +871,8 @@ def test_fourier_sequence_equals_one_point_calls(kind):
         for branch in (1, -1):
             idx = KernelIndices(total, m, n, eps, branch)
             got = oracle.fourier(idx, points)
-            assert got.shape == (len(points),) and got.dtype == complex
-            assert got.tolist() == [single.fourier(idx, pt) for pt in points], idx
+            assert got.shape == (len(pairs),) and got.dtype == complex
+            assert got.tolist() == [single.fourier(idx, MomentumPoint(p, a)) for p, a in pairs], idx
 
 
 def test_fourier_one_point_and_empty_sequence():
@@ -846,8 +881,8 @@ def test_fourier_one_point_and_empty_sequence():
     point = MomentumPoint(17.0, 0.4)
     value = oracle.fourier(idx, point)
     assert type(value) is complex
-    assert oracle.fourier(idx, (point,)).tolist() == [value]
-    empty = oracle.fourier(idx, [])
+    assert oracle.fourier(idx, _array_point([(17.0, 0.4)])).tolist() == [value]
+    empty = oracle.fourier(idx, _array_point([]))
     assert empty.shape == (0,) and empty.dtype == complex
 
 
@@ -867,7 +902,7 @@ def test_fourier_over_many_magnitudes_stays_within_rule_budget(monkeypatch):
         return transform(self, p_mag, *args)
 
     monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
-    points = [MomentumPoint(p, 0.3 * i) for i, p in enumerate(np.linspace(0.0, 90.0, 240).tolist())]
+    points = MomentumPoint(np.linspace(0.0, 90.0, 240), 0.3 * np.arange(240))
     oracle = QuadratureOracle(PARAMS)
     tracemalloc.start()
     try:
@@ -875,10 +910,10 @@ def test_fourier_over_many_magnitudes_stays_within_rule_budget(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values.shape == (len(points),) and np.isfinite(values).all()
+    assert values.shape == (points.p_mag.size,) and np.isfinite(values).all()
     assert peak <= 8 * quadrature.MAX_RULE_ENTRIES
-    assert sum(batches) == len(points)
-    assert 1 < max(batches) < len(points)
+    assert sum(batches) == points.p_mag.size
+    assert 1 < max(batches) < points.p_mag.size
 
 
 @pytest.mark.parametrize("kind", ["exponential", "tabulated"])
@@ -891,11 +926,11 @@ def test_fourier_block_rows_equal_per_index_calls(kind):
     profile, quad = (None, None) if kind == "exponential" else (tabulated, QuadratureSpec(radial_rel_tol=1e-7))
     params = CouplingParams(20.0, 0.3)
     pairs = [(31.0, 0.2), (0.0, 1.0), (12.5, 4.0), (31.0, 2.9), (0.0, 5.5), (47.0, 0.2)]
-    points = [MomentumPoint(p, a) for p, a in pairs]
+    points = _array_point(pairs)
     tuples = [(6, 4, 3, "e"), (1, 0, 1, "g"), (3, 1, 2, "e"), (5, 2, 5, "g"), (2, 2, 0, "g"), (6, 6, 6, "g")]
     block = [KernelIndices(*t, branch) for t in tuples for branch in (1, -1)]
     got = QuadratureOracle(params, profile, quad).fourier(block, points)
-    assert got.shape == (len(block), len(points)) and got.dtype == complex
+    assert got.shape == (len(block), len(pairs)) and got.dtype == complex
     single = QuadratureOracle(params, profile, quad)
     for row, idx in zip(got, block):
         assert row.tolist() == single.fourier(idx, points).tolist(), idx
@@ -904,18 +939,19 @@ def test_fourier_block_rows_equal_per_index_calls(kind):
 def test_fourier_return_shapes_and_empty_sequences():
     oracle = QuadratureOracle(PARAMS)
     block = [KernelIndices(2, 1, 2, "g", -1), KernelIndices(1, 1, 1, "e", 1)]
-    points = [MomentumPoint(17.0, 0.4), MomentumPoint(3.0, 2.0), MomentumPoint(17.0, 5.0)]
+    pairs = [(17.0, 0.4), (3.0, 2.0), (17.0, 5.0)]
+    points, nothing = _array_point(pairs), _array_point([])
     table = oracle.fourier(block, points)
     assert table.shape == (2, 3) and table.dtype == complex
-    value = oracle.fourier(block[0], points[1])
+    value = oracle.fourier(block[0], MomentumPoint(*pairs[1]))
     assert type(value) is complex and value == table[0, 1]
     assert oracle.fourier(block[1], points).tolist() == table[1].tolist()
-    assert oracle.fourier(block, points[2]).tolist() == table[:, 2].tolist()
+    assert oracle.fourier(block, MomentumPoint(*pairs[2])).tolist() == table[:, 2].tolist()
     empties = {
-        (0,): [oracle.fourier([], points[0]), oracle.fourier(block[0], [])],
+        (0,): [oracle.fourier([], MomentumPoint(*pairs[0])), oracle.fourier(block[0], nothing)],
         (0, 3): [oracle.fourier([], points)],
-        (2, 0): [oracle.fourier(block, [])],
-        (0, 0): [oracle.fourier([], [])],
+        (2, 0): [oracle.fourier(block, nothing)],
+        (0, 0): [oracle.fourier([], nothing)],
     }
     for shape, values in empties.items():
         for empty in values:
@@ -928,9 +964,9 @@ def test_oracle_keeps_only_its_init_state():
     oracle = QuadratureOracle(PARAMS)
     keys = set(vars(oracle))
     assert keys == {"params", "profile", "quad", "_rho_max", "_mass", "_panel_cache", "_harmonics"}
-    points = [MomentumPoint(p, 0.3) for p in (0.0, 12.0, 31.0, 12.0)]
-    oracle.fourier(KernelIndices(2, 1, 2, "g", -1), points[1])
+    points = MomentumPoint(np.array([0.0, 12.0, 31.0, 12.0]), np.full(4, 0.3))
+    oracle.fourier(KernelIndices(2, 1, 2, "g", -1), MomentumPoint(12.0, 0.3))
     oracle.fourier([KernelIndices(6, 2, 1, "g", 1), KernelIndices(1, 1, 1, "e", -1)], points)
     oracle.w_density(noon_state(2), AtomState.normalized(1.0, 0.5j), points)
-    oracle.w_density(noon_state(1), AtomState.ground(), points[0])
+    oracle.w_density(noon_state(1), AtomState.ground(), MomentumPoint(0.0, 0.3))
     assert set(vars(oracle)) == keys

@@ -60,6 +60,9 @@ def test_normalize_huge_amplitudes():
     # only a norm past the float range itself is refused
     with pytest.raises(InvalidStateError, match="overflows"):
         normalize(TwoModeState({(1, 0): 1.5e308, (0, 1): 1.5e308}))
+    # as is one amplitude whose modulus is, though both its parts are finite
+    with pytest.raises(InvalidStateError, match="overflows"):
+        TwoModeState({(1, 0): complex(1.7e308, 1.7e308)})
 
 
 def test_normalize_tiny_amplitudes():

@@ -92,6 +92,33 @@ def test_quick_battery_transforms_each_plus_table_once_per_block(monkeypatch):
     assert calls == [(8, 2, True), (8, 3, True)]
 
 
+def test_quick_battery_builds_two_array_points_and_one_point_per_record_point(monkeypatch):
+    # each block's points are checked once, as one array point for both
+    # routes; each record point is a one-point MomentumPoint of the same draws
+    built = []
+    post_init = MomentumPoint.__post_init__
+
+    def counted(self):
+        raw = (np.copy(self.p_mag), np.copy(self.p_ang))
+        post_init(self)
+        built.append((raw, self))
+
+    monkeypatch.setattr(MomentumPoint, "__post_init__", counted)
+    summary = kernel_battery(**QUICK)
+    arrays = [(raw, pt) for raw, pt in built if np.ndim(pt.p_mag)]
+    scalars = [pt for raw, pt in built if not np.ndim(pt.p_mag)]
+    assert len(built) == 18 and len(arrays) == 2 and len(scalars) == 16
+    assert [pt.p_mag.size for _, pt in arrays] == [8, 8]
+    # the wrapped angles are the doubles of Python's float %, and the record
+    # points carry the array points' values
+    for (_, raw_ang), pt in arrays:
+        assert pt.p_ang.tolist() == [a % (2.0 * math.pi) for a in raw_ang.tolist()]
+    flat = [(p, a) for _, pt in arrays for p, a in zip(pt.p_mag.tolist(), pt.p_ang.tolist())]
+    assert [(pt.p_mag, pt.p_ang) for pt in scalars] == flat
+    record_points = list({id(r.point): r.point for r in summary.records}.values())
+    assert len(record_points) == 16 and all(a is b for a, b in zip(record_points, scalars))
+
+
 def _first_point_by_point_refusal(lams, kdrs, max_total, points, quad, seed=20240):
     """The AccuracyError that one-point oracle calls in record order raise first."""
     from crosscavity.quadrature import AccuracyError
