@@ -88,7 +88,9 @@ class MomentumPoint:
     Two scalars give one point with ``float`` fields; two 1-d arrays of one
     length give that many points, as read-only copies.  Checked once, here:
     magnitudes finite and >= 0, angles finite, then wrapped by
-    ``np.remainder``, which gives the double of Python's ``phi % (2 pi)``.
+    ``np.remainder``, which gives the double of Python's ``phi % (2 pi)``,
+    except that a wrap which rounds to ``2 pi`` (an angle within half an ulp
+    of ``2 pi`` below 0) gives 0.0, the nearest angle in [0, 2 pi).
     """
 
     p_mag: Union[float, np.ndarray]
@@ -107,6 +109,7 @@ class MomentumPoint:
                 at = f" at index {i}" if values.ndim else ""
                 raise ValueError(f"{message} {float(values.flat[i])!r}{at}")
         np.remainder(phi, 2.0 * math.pi, out=phi)
+        phi[phi == 2.0 * math.pi] = 0.0
         p.flags.writeable = phi.flags.writeable = False
         if p.ndim == 0:
             p, phi = float(p), float(phi)

@@ -76,20 +76,9 @@ def _monomial_coefficients(total: int) -> np.ndarray:
     return coef
 
 
-@lru_cache(maxsize=512)
-def _d_matrix_cached(total: int, theta: float) -> np.ndarray:
-    mat = d_matrix_table(total, np.array([theta]))[:, :, 0]
-    mat.flags.writeable = False
-    return mat
-
-
 def d_matrix(total: int, theta: float) -> np.ndarray:
-    """Full (N+1)x(N+1) block-rotation matrix, rows m, columns n.
-
-    Memoized on the exact (total, theta) key; the returned array is
-    read-only so no caller can alter the cached value.
-    """
-    return _d_matrix_cached(total, float(theta))
+    """Full (N+1)x(N+1) block-rotation matrix at one angle, rows m, columns n."""
+    return d_matrix_table(total, [theta])[:, :, 0]
 
 
 def d_matrix_table(total: int, thetas: np.ndarray) -> np.ndarray:

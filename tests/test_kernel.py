@@ -208,10 +208,13 @@ def _battery_angles(lams=(5.0, 20.0), kdrs=(0.1, 0.3), max_total=4, points=50, s
 def test_momentum_point_wrap_matches_python_modulo():
     # np.remainder gives, angle by angle, the double that Python's float %
     # gives: on both grids' angles, the full and quick batteries' draws,
-    # random angles and edge values (signed zeros and subnormals included)
+    # random angles and edge values (signed zeros and subnormals included),
+    # except where % rounds a tiny negative angle up to 2 pi, outside
+    # [0, 2 pi): there the point holds 0.0, the nearest angle
     two_pi = 2.0 * math.pi
     rng = np.random.default_rng(2004)
-    edges = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, two_pi, -two_pi, math.nextafter(two_pi, 0.0), -5e-324]
+    edges = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, two_pi, -two_pi, math.nextafter(two_pi, 0.0), -5e-324,
+             -1e-17, -4e-16]
     angles = np.concatenate([
         np.arange(720) * (two_pi / 720),
         np.arange(20) * (two_pi / 20),
@@ -221,12 +224,13 @@ def test_momentum_point_wrap_matches_python_modulo():
         rng.uniform(-50.0, 50.0, 100_000),
         edges,
     ])
-    want = np.array([a % two_pi for a in angles.tolist()])
+    want = np.array([a % two_pi if a % two_pi != two_pi else 0.0 for a in angles.tolist()])
+    assert np.count_nonzero(np.array(edges) % two_pi == two_pi) == 4  # -1e-300, -5e-324, -1e-17, -4e-16
     assert MomentumPoint(np.zeros(angles.size), angles).p_ang.tobytes() == want.tobytes()
-    for a in edges + angles[::251].tolist():
+    for a, expected in zip(edges + angles[::251].tolist(), want[-len(edges):].tolist() + want[::251].tolist()):
         wrapped = MomentumPoint(0.0, a).p_ang
-        assert type(wrapped) is float and math.copysign(1.0, wrapped) == math.copysign(1.0, a % two_pi)
-        assert wrapped == a % two_pi
+        assert type(wrapped) is float and math.copysign(1.0, wrapped) == math.copysign(1.0, expected)
+        assert wrapped == expected and 0.0 <= wrapped < two_pi
 
 
 def test_momentum_point_refusals_name_the_first_bad_entry():

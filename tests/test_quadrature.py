@@ -223,7 +223,7 @@ def _transform_with_panels(oracle, p_mag, shift, reach=4):
     """The oracle's transform of one table and the panel counts its rules used."""
     used = []
     rule = oracle._rule
-    oracle._rule = lambda p, n_panels, order, r: used.append(n_panels) or rule(p, n_panels, order, r)
+    oracle._rule = lambda items, n_panels, r: used.append(n_panels) or rule(items, n_panels, r)
     try:
         spectrum, _ = oracle._radial_transform(p_mag, shift, reach)
     finally:
@@ -430,14 +430,14 @@ def test_oversized_radial_rule_refused_before_allocation():
     per_panel = 24 * (4 + 1 + quadrature._NODE_WORK) + 2 * quadrature._ANGLE_WORK
     limit = (MAX_RULE_ENTRIES - quadrature._bessel_scratch(4, 1 << 40)) // per_panel
     with pytest.raises(AccuracyError, match="rule entries"):
-        oracle._rule(50.0, limit + 1, 24, 4)
+        oracle._rule([(50.0, 0.0)], limit + 1, 4)
     with pytest.raises(AccuracyError, match="rule entries"):
-        oracle._rule(50.0, 1 << 40, 24, 4)
+        oracle._rule([(50.0, 0.0)], 1 << 40, 4)
     with pytest.raises(AccuracyError, match="rule entries"):
-        oracle._rule(50.0, 8, 24, 1 << 40)
+        oracle._rule([(50.0, 0.0)], 8, 1 << 40)
     assert vars(oracle) == state and not oracle._panel_cache
-    edge, offset = oracle._rule(50.0, limit, 24, 4)
-    assert edge.shape == (limit, 2) and offset.shape == (24, 2) and oracle._panel_cache
+    edge, offsets = oracle._rule([(50.0, 0.0)], limit, 4)
+    assert edge.shape == (limit, 2) and [o.shape for o in offsets] == [(12, 2), (24, 2)] and oracle._panel_cache
 
 
 def test_accepted_radial_transforms_stay_within_rule_budget(monkeypatch):
@@ -681,49 +681,83 @@ def test_bessel_j_values_depend_only_on_their_argument():
         assert np.array_equal(whole, separate), kmax
 
 
-def _accepted_panels(oracle, mags, shift, reach):
-    """The batched transform of ``mags`` and, per magnitude, the last panel count its rules were built at."""
+def _accepted_panels(oracle, mags, shifts, reach):
+    """The batched transform of ``mags`` x ``shifts`` and, per item, the last panel count its rules were built at."""
     last = {}
     rule = oracle._rule
 
-    def recording(p, n_panels, order, r):
-        last.update((q, n_panels) for q in np.atleast_1d(p).tolist())
-        return rule(p, n_panels, order, r)
+    def recording(items, n_panels, r):
+        last.update((item, n_panels) for item in items)
+        return rule(items, n_panels, r)
 
     oracle._rule = recording
     try:
-        spectra, errs = oracle._radial_transform(np.array(mags), shift, reach)
+        spectra, errs = oracle._radial_transform(np.array(mags), shifts, reach)
     finally:
         del oracle._rule
-    return spectra, errs, [last[p] for p in mags]
+    return spectra, errs, [[last[p, shift] for shift in shifts] for p in mags]
 
 
 @pytest.mark.parametrize("kind", ["exponential", "tabulated"])
 @pytest.mark.parametrize("lam", [5.0, 20.0, 100.0])
 def test_batched_radial_transform_matches_single_magnitudes(kind, lam):
-    # a batch refines every magnitude to the panel count a one-magnitude call
-    # accepts and gives the same spectra bit for bit, with 0 and repeated
-    # magnitudes; a tight tolerance makes some magnitudes double more often
-    # than others, and with no doubling allowed the estimates must agree too
+    # a batch of magnitudes and shifts refines every (magnitude, table) item to
+    # the panel count a one-item call accepts, with tables of every shift
+    # mixed in one refinement, and gives the same spectra and error bounds bit
+    # for bit, with 0 and repeated magnitudes; a tight tolerance makes some
+    # items double more often than others, and with no doubling allowed the
+    # estimates must agree too
     rho = np.linspace(0.0, 1.5, 300)
     tabulated = SlitProfile.tabulated(rho, np.exp(-rho / 0.2) * (1.2 + np.cos(9.0 * rho)))
     profile = None if kind == "exponential" else tabulated
     params = CouplingParams(lam, 0.3)
     mags = [0.0, 0.3 * lam, 1.1 * lam, 0.3 * lam, 2.6 * lam, 0.0, 3.7 * lam]
+    shifts = [math.sqrt(n) * lam for n in (2, 0, 3, 1)]
     specs = [QuadratureSpec(), QuadratureSpec(radial_rel_tol=1e-13), QuadratureSpec(1e-13, max_radial_refinements=0)]
     doubled = False
     for quad in specs:
         for reach in (4, 16):
-            shift = math.sqrt(2.0) * lam
-            spectra, errs, panels = _accepted_panels(QuadratureOracle(params, profile, quad), mags, shift, reach)
-            for p, spectrum, err, n_panels in zip(mags, spectra, errs, panels):
-                single = QuadratureOracle(params, profile, quad)
-                want, want_err, want_panels = _accepted_panels(single, [p], shift, reach)
-                assert want_panels == [n_panels], (p, reach)
-                assert np.array_equal(spectrum, want[0]), (p, reach)
-                assert abs(err - want_err[0]) <= 1e-12 * single._mass
-                doubled |= n_panels != single._panels_for(p + shift)
+            spectra, errs, panels = _accepted_panels(QuadratureOracle(params, profile, quad), mags, shifts, reach)
+            for p, p_spectra, p_errs, p_panels in zip(mags, spectra, errs, panels):
+                for shift, spectrum, err, n_panels in zip(shifts, p_spectra, p_errs, p_panels):
+                    single = QuadratureOracle(params, profile, quad)
+                    want, want_err, want_panels = _accepted_panels(single, [p], [shift], reach)
+                    assert want_panels == [[n_panels]], (p, shift, reach)
+                    assert np.array_equal(spectrum, want[0, 0]), (p, shift, reach)
+                    assert err == want_err[0, 0], (p, shift, reach)
+                    doubled |= n_panels != single._panels_for(p + shift)
     assert doubled
+
+
+def test_four_table_transform_builds_one_rule_per_panel_count_and_attempt():
+    # the tables of a transform are refined together: in each attempt the
+    # items at one panel count share one _rule call, which serves both
+    # Gauss-Legendre orders, whatever their table
+    lam = 20.0
+    oracle = QuadratureOracle(CouplingParams(lam, 0.3), quad=QuadratureSpec(radial_rel_tol=1e-13))
+    p, shifts = 31.0, [math.sqrt(n) * lam for n in range(4)]
+    calls = []
+    rule = oracle._rule
+
+    def recording(items, n_panels, r):
+        calls.append((n_panels, [shift for _, shift in items]))
+        return rule(items, n_panels, r)
+
+    oracle._rule = recording
+    try:
+        oracle._radial_transform(p, shifts, 4)
+    finally:
+        del oracle._rule
+    # an item's attempt is the number of doublings from its initial panel count
+    expected = {}
+    for shift in shifts:
+        start = oracle._panels_for(p + shift)
+        for n_panels, members in calls:
+            if shift in members:
+                attempt = (n_panels // start).bit_length() - 1
+                expected.setdefault((attempt, n_panels), []).append(shift)
+    assert sorted(calls) == sorted((n_panels, members) for (_, n_panels), members in expected.items())
+    assert any(len(members) > 1 for _, members in calls)
 
 
 def test_numeric_grid_matches_pointwise_w_density():
@@ -824,8 +858,9 @@ def test_w_numeric_of_numpy_scalars_is_one_point():
 
 
 def test_numeric_grid_over_many_radii_stays_within_rule_budget(monkeypatch):
-    # the radii go in consecutive groups that fit MAX_RULE_ENTRIES, so a grid
-    # whose Bessel rows alone would take several budgets holds at most
+    # one transform takes every radius, and its Bessel rows go in runs that fit
+    # MAX_RULE_ENTRIES, each dropped before the next is built, so a grid whose
+    # Bessel rows alone would take several budgets holds at most
     # 8 MAX_RULE_ENTRIES bytes at once
     import tracemalloc
 
@@ -841,6 +876,9 @@ def test_numeric_grid_over_many_radii_stays_within_rule_budget(monkeypatch):
         return transform(self, p_mag, *args)
 
     monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
+    runs = []
+    bessel_j = quadrature.bessel_j
+    monkeypatch.setattr(quadrature, "bessel_j", lambda kmax, x: runs.append(x.size) or bessel_j(kmax, x))
     grid = GridSpec(radial_points=240, angular_points=4, p_max=90.0)
     tracemalloc.start()
     try:
@@ -849,7 +887,7 @@ def test_numeric_grid_over_many_radii_stays_within_rule_budget(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * quadrature.MAX_RULE_ENTRIES
-    assert 1 < max(batches) < grid.radial_points
+    assert batches == [grid.radial_points] and len(runs) > 1
 
 
 @pytest.mark.parametrize("kind", ["exponential", "tabulated"])
@@ -887,8 +925,8 @@ def test_fourier_one_point_and_empty_sequence():
 
 
 def test_fourier_over_many_magnitudes_stays_within_rule_budget(monkeypatch):
-    # like the numeric grid, a long sequence goes in consecutive runs of
-    # magnitudes that fit MAX_RULE_ENTRIES, each used right after its transform
+    # like the numeric grid, a long sequence goes to one transform whose
+    # Bessel rows are built and dropped run by run
     import tracemalloc
 
     from crosscavity import quadrature
@@ -902,6 +940,9 @@ def test_fourier_over_many_magnitudes_stays_within_rule_budget(monkeypatch):
         return transform(self, p_mag, *args)
 
     monkeypatch.setattr(QuadratureOracle, "_radial_transform", counted_transform)
+    runs = []
+    bessel_j = quadrature.bessel_j
+    monkeypatch.setattr(quadrature, "bessel_j", lambda kmax, x: runs.append(x.size) or bessel_j(kmax, x))
     points = MomentumPoint(np.linspace(0.0, 90.0, 240), 0.3 * np.arange(240))
     oracle = QuadratureOracle(PARAMS)
     tracemalloc.start()
@@ -912,8 +953,7 @@ def test_fourier_over_many_magnitudes_stays_within_rule_budget(monkeypatch):
         tracemalloc.stop()
     assert values.shape == (points.p_mag.size,) and np.isfinite(values).all()
     assert peak <= 8 * quadrature.MAX_RULE_ENTRIES
-    assert sum(batches) == points.p_mag.size
-    assert 1 < max(batches) < points.p_mag.size
+    assert batches == [points.p_mag.size] and len(runs) > 1
 
 
 @pytest.mark.parametrize("kind", ["exponential", "tabulated"])

@@ -136,13 +136,6 @@ def test_d_matrix_against_monomial_map():
             assert np.max(np.abs(d_matrix(total, theta) - monomial_map_matrix(total, theta))) < 1e-10
 
 
-def test_d_matrix_cached_instance_reused():
-    a = d_matrix(3, 0.123)
-    b = d_matrix(3, 0.123)
-    assert a is b
-    assert not a.flags.writeable
-
-
 def test_d_matrix_table_matches_scalar():
     thetas = np.array([0.1, 0.7, 2.0])
     table = d_matrix_table(2, thetas)
