@@ -25,7 +25,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distribution import (
-    PHI_POINTS,
     PopulationSpectrum,
     _Channel,
     _density_table,
@@ -36,6 +35,8 @@ from .quadrature import AccuracyError
 from .states import AtomState, CouplingParams, TwoModeState
 
 _TWO_PI = 2.0 * math.pi
+
+PHI_POINTS = 720  # uniform angles on the readout ring of the rotation readout
 
 
 class NoSignalError(RuntimeError):

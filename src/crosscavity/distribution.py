@@ -21,9 +21,9 @@ the weighted harmonic autocorrelation of the channels.  On the uniform angle
 grid ``2 pi j / A`` the series is one inverse FFT over ``j`` with
 ``B_Delta`` placed at index ``Delta mod A``; since ``e^{i Delta phi_j}``
 depends only on that residue, aliased harmonics are summed exactly rather
-than dropped.  The angular mean of W on that grid is the sum of the
-``B_Delta`` with ``Delta = 0 mod A`` (``_angular_mean``), so the ring-line
-and window estimators never build the angle table.
+than dropped.  The ring-line and window estimators need only the angular
+mean of W, ``B_0 = sum_ch weight sum_w |a_w|^2`` (``_angular_mean``), so
+they build neither the autocorrelation nor the angle table.
 
 The readout helpers take a stack of ``S`` states on the same photon blocks
 (a mixing-angle family, say) in one pass: :func:`channel_tables` stacks the
@@ -50,8 +50,12 @@ Ring populations come in three estimators:
     patterns; the normalized spectrum is the meaningful observable and the
     raw scale is reported via ``norm_factor``.
 ``window``
-    Planar integral of W over radial bands split at the midpoints between
-    adjacent rings; a true probability, no renormalization.
+    Planar integral ``2 pi Int B_0(p) p dp`` over radial bands split at the
+    midpoints between adjacent rings; a true probability, no
+    renormalization.  Each band ``[lo, hi]`` is integrated by composite
+    Gauss-Legendre, 24 nodes per panel and one panel per ring width
+    ``1/k_delta_r``: ``ceil((hi - lo) k_delta_r)`` panels, clamped to 2..64
+    (64 when that count is not finite), which reaches rounding level.
 """
 
 from __future__ import annotations
@@ -71,7 +75,7 @@ from .kernel import (
     harmonic_coefficients,
     mode_radial_table,
 )
-from .quadrature import AccuracyError, QuadratureOracle, QuadratureSpec, SlitProfile
+from .quadrature import AccuracyError, QuadratureOracle, QuadratureSpec, SlitProfile, _panel_rule
 from .rotation import d_matrix_table
 from .states import (
     AtomState,
@@ -83,9 +87,6 @@ from .states import (
 )
 
 _TWO_PI = 2.0 * math.pi
-
-PHI_POINTS = 720  # uniform angles per radius: eq8, window and the rotation readout
-BAND_POINTS = 320  # radii per band of the window estimator
 
 
 @dataclass(frozen=True)
@@ -171,6 +172,18 @@ def channel_tables(
     return out
 
 
+def _amplitudes(ch: _Channel, p: np.ndarray, params: CouplingParams) -> np.ndarray:
+    """Harmonic amplitudes ``a_w(p)`` of one channel, ``[s, k, i]`` for ``w_values[k]`` at ``p[i]``.
+
+    The radial factor is built once and serves every state; a harmonic that
+    a state lacks stays exactly zero, even where the radial factor overflows.
+    """
+    g = gamma(ch.n, params, ch.branch)
+    amp = ch.chi[:, :, None] * mode_radial_table(np.abs(ch.w_values), p, g, params.k_delta_r)
+    amp[ch.chi == 0] = 0.0
+    return amp
+
+
 def _autocorrelation(
     channels: Sequence[_Channel], p: np.ndarray, params: CouplingParams
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -178,9 +191,7 @@ def _autocorrelation(
 
     Returns ``(deltas, table)``: the harmonic differences ``-2M..2M`` for the
     largest harmonic ``M`` of any channel, and ``table[s, k, i] =
-    B_{deltas[k]}(p[i])`` for state ``s`` of the stack.  Each channel's radial
-    factor is built once and serves every state; a harmonic that a state
-    lacks adds exact zeros to its row, even where the radial factor overflows.
+    B_{deltas[k]}(p[i])`` for state ``s`` of the stack.
     """
     p = np.asarray(p, dtype=float)
     top = max((int(np.abs(ch.w_values).max()) for ch in channels if ch.w_values.size), default=0)
@@ -189,9 +200,7 @@ def _autocorrelation(
     for ch in channels:
         if ch.w_values.size == 0:
             continue
-        g = gamma(ch.n, params, ch.branch)
-        amp = ch.chi[:, :, None] * mode_radial_table(np.abs(ch.w_values), p, g, params.k_delta_r)
-        amp[ch.chi == 0] = 0.0
+        amp = _amplitudes(ch, p, params)
         conj = ch.weight * amp.conj()
         for k, w in enumerate(ch.w_values):
             # distinct w_values make these row indices distinct, so += does not drop terms
@@ -213,19 +222,15 @@ def _density_table(
     return np.fft.ifft(coeffs, axis=-1, norm="forward", out=coeffs).real  # in place: no second table
 
 
-def _angular_mean(
-    channels: Sequence[_Channel],
-    p: np.ndarray,
-    angular_points: int,
-    params: CouplingParams,
-) -> np.ndarray:
-    """Mean of W over the uniform angles ``2 pi j / angular_points``, shape ``(S, p)``.
-
-    Exactly the mean of ``_density_table`` rows: only the ``B_Delta`` with
-    ``Delta = 0 mod angular_points`` survive the average, aliases included.
-    """
-    deltas, table = _autocorrelation(channels, p, params)
-    return table[:, deltas % angular_points == 0].sum(axis=1).real
+def _angular_mean(channels: Sequence[_Channel], p: np.ndarray, params: CouplingParams) -> np.ndarray:
+    """Angular mean ``B_0(p) = sum_ch weight sum_w |a_w(p)|^2`` of W, shape ``(S, p)``."""
+    p = np.asarray(p, dtype=float)
+    mean = np.zeros((channels[0].chi.shape[0] if channels else 1, p.size))
+    for ch in channels:
+        if ch.w_values.size:
+            amp = _amplitudes(ch, p, params)
+            mean += ch.weight * (amp.real**2 + amp.imag**2).sum(axis=1)
+    return mean
 
 
 def w_point(
@@ -342,8 +347,9 @@ def populations(
     estimator.  By default it is ``2 N + 1`` for the largest block total
     ``N``, the smallest count at which the rule is exact; a larger count
     gives the same weights to rounding, and ``2 N`` or fewer is refused with
-    ``ValueError``.  ``eq8`` and ``window`` take ``PHI_POINTS`` angles per
-    radius and ``window`` ``BAND_POINTS`` radii per band.
+    ``ValueError``.  ``eq8`` and ``window`` read the angular mean ``B_0``
+    directly, with no angle grid; ``window`` integrates each band by
+    composite Gauss-Legendre with one panel per ring width.
 
     Raises ``AccuracyError`` when a population is NaN or Inf (for example
     when the radial factors overflow at a huge ``lam``).
@@ -416,7 +422,7 @@ def _populations_ringline(state: TwoModeState, atom: AtomState, params: Coupling
         raise ValueError("no deflected rings for this state/atom combination")
     channels = channel_tables(state, atom)
     radii = np.array([params.lam * math.sqrt(n) for n in range(1, n_max + 1)])
-    raw = radii * _angular_mean(channels, radii, PHI_POINTS, params)[0] * _TWO_PI
+    raw = radii * _angular_mean(channels, radii, params)[0] * _TWO_PI
     total = float(raw.sum())
     warnings = []
     over = _overlap_warning(params, n_max)
@@ -438,17 +444,28 @@ def _band_edges(n: int, params: CouplingParams) -> Tuple[float, float]:
     return lo, hi
 
 
+def _band_rule(lo: float, hi: float, k_delta_r: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Composite 24-node Gauss-Legendre nodes and weights on ``[lo, hi]``, one panel per ring width.
+
+    ``ceil((hi - lo) k_delta_r)`` panels, clamped to 2..64; 64 when that
+    count is inf or NaN.
+    """
+    count = (hi - lo) * k_delta_r
+    panels = min(max(math.ceil(count), 2), 64) if math.isfinite(count) else 64
+    nodes, weights = _panel_rule(hi - lo, panels, 24)
+    return nodes + lo, weights
+
+
 def _populations_window(state: TwoModeState, atom: AtomState, params: CouplingParams) -> PopulationSpectrum:
     n_max = _n_max(state, atom)
     channels = channel_tables(state, atom)
     ns = ([0] if abs(atom.c_g) > 0 else []) + list(range(1, n_max + 1))
-    # every band's radii in one array, so the angular mean is one pass
-    p_bands = np.array([np.linspace(*_band_edges(n, params), BAND_POINTS) for n in ns])
-    angular = _angular_mean(channels, p_bands.ravel(), PHI_POINTS, params)[0] * _TWO_PI
-    entries = [
-        SpectrumEntry(n, float(np.trapezoid(band * p_band, p_band)), "window")
-        for n, p_band, band in zip(ns, p_bands, angular.reshape(p_bands.shape))
-    ]
+    rules = [_band_rule(*_band_edges(n, params), params.k_delta_r) for n in ns]
+    # every band's nodes in one array, so the angular mean is one pass
+    nodes = np.concatenate([p_band for p_band, _ in rules])
+    integrand = nodes * _angular_mean(channels, nodes, params)[0] * _TWO_PI
+    bands = np.split(integrand, np.cumsum([w.size for _, w in rules])[:-1])
+    entries = [SpectrumEntry(n, float(w @ band), "window") for n, (_, w), band in zip(ns, rules, bands)]
     warnings = []
     over = _overlap_warning(params, n_max)
     if over:

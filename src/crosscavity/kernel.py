@@ -116,6 +116,22 @@ class MomentumPoint:
         object.__setattr__(self, "p_mag", p)
         object.__setattr__(self, "p_ang", phi)
 
+    def __eq__(self, other):
+        """Value equality: the same shape, then equal magnitudes and equal angles."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            np.shape(self.p_mag) == np.shape(other.p_mag)
+            and np.array_equal(self.p_mag, other.p_mag)
+            and np.array_equal(self.p_ang, other.p_ang)
+        )
+
+    def __hash__(self):
+        # tolist() gives Python floats, which hash 0.0 and -0.0 alike, as == needs
+        if np.ndim(self.p_mag):
+            return hash((tuple(self.p_mag.tolist()), tuple(self.p_ang.tolist())))
+        return hash((self.p_mag, self.p_ang))
+
 
 def gamma(n: int, params: CouplingParams, branch: int) -> complex:
     """Complex pole ``-1/(2 k_delta_r) +- i sqrt(n) lam`` of the radial integral."""

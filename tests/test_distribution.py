@@ -24,9 +24,10 @@ from crosscavity import (
     w_grid,
     w_point,
 )
+from crosscavity import distribution
 from crosscavity.distribution import _angular_mean, _density_table, channel_tables, default_p_max
 from crosscavity.kernel import gamma, mode_radial_table
-from crosscavity.quadrature import AccuracyError
+from crosscavity.quadrature import AccuracyError, _panel_rule
 from crosscavity.rotation import d_matrix_table
 
 PARAMS = CouplingParams(20.0, 0.1)
@@ -626,14 +627,78 @@ def test_exact_grid_is_smallest_exact_or_the_override(monkeypatch):
         assert sizes and set(sizes) == {100}
 
 
-@pytest.mark.parametrize("angular_points", [4, 7, 20, 720])
+@pytest.mark.parametrize("angular_points", ["4M+1", 720])
 def test_angular_mean_equals_density_table_mean(angular_points):
-    # 4, 7 and 20 angles alias several Fourier coefficients onto Delta = 0
+    # B_Delta has |Delta| <= 2M for the largest channel harmonic M, so
+    # 4M + 1 angles (and 720) alias nothing onto Delta = 0
     channels = channel_tables(family_state(3, 2), SUPERPOSED)
+    if angular_points == "4M+1":
+        angular_points = 4 * max(int(np.abs(ch.w_values).max()) for ch in channels if ch.w_values.size) + 1
     p = np.linspace(0.0, default_p_max(family_state(3, 2), PARAMS), 40)
     ref = _density_table(channels, p, angular_points, PARAMS)[0].mean(axis=1)
-    got = _angular_mean(channels, p, angular_points, PARAMS)[0]
+    got = _angular_mean(channels, p, PARAMS)[0]
     assert np.max(np.abs(got - ref)) <= 1e-14 * ref.max()
+
+
+WINDOW_STATES = [
+    noon_state(2), noon_state(3), noon_state(4), noon_state(6),
+    family_state(1, 1), family_state(2, 1), one_photon_state(0.3),
+]
+
+
+@pytest.mark.parametrize("lam", [20.0, 100.0, 200.0])
+def test_window_matches_fine_gauss_legendre(lam):
+    # each band against 256 panels x 32 nodes on the same B_0
+    for k_delta_r in (0.05, 0.1, 0.3):
+        params = CouplingParams(lam, k_delta_r)
+        for state in WINDOW_STATES:
+            for atom in (EXCITED, SUPERPOSED):
+                channels = channel_tables(state, atom)
+                for n, got in populations(state, atom, params, estimator="window").as_dict().items():
+                    lo, hi = distribution._band_edges(n, params)
+                    nodes, weights = _panel_rule(hi - lo, 256, 32)
+                    nodes += lo
+                    ref = weights @ (nodes * _angular_mean(channels, nodes, params)[0]) * 2 * math.pi
+                    assert abs(got - ref) <= 1e-13, (k_delta_r, state.tags, atom, n)
+
+
+def test_ringline_and_window_read_the_angular_mean_only(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("eq8 and window read B_0 only")
+
+    monkeypatch.setattr(distribution, "_autocorrelation", refuse)
+    monkeypatch.setattr(distribution, "_density_table", refuse)
+    params = CouplingParams(100.0, 0.1)
+    for estimator in ("eq8", "window"):
+        for atom in (EXCITED, SUPERPOSED):
+            assert populations(family_state(2, 1), atom, params, estimator=estimator).entries
+
+
+def test_window_radii_follow_the_ring_width(monkeypatch):
+    # NOON-6 at lam 100, k_delta_r 0.1: bands 1..7 take 8, 4, 3, 3, 3, 3 and 2
+    # panels of 24 nodes, 624 radii, in one radial table per channel
+    sizes = []
+
+    def recording(w_abs, p, gamma_val, k_delta_r):
+        sizes.append(np.size(p))
+        return mode_radial_table(w_abs, p, gamma_val, k_delta_r)
+
+    monkeypatch.setattr(distribution, "mode_radial_table", recording)
+    populations(noon_state(6), EXCITED, CouplingParams(100.0, 0.1), estimator="window")
+    assert sizes and set(sizes) == {624}
+
+
+def test_band_rule_panel_clamp():
+    nodes, weights = distribution._band_rule(3.0, 3.001, 0.1)  # 1e-4 ring widths
+    assert nodes.size == 2 * 24
+    assert 3.0 < nodes.min() < nodes.max() < 3.001
+    assert math.fsum(weights) == pytest.approx(0.001, rel=1e-14)
+    assert distribution._band_rule(0.0, 36.6, 0.1)[0].size == 4 * 24
+    assert distribution._band_rule(0.0, 1e3, 0.1)[0].size == 64 * 24
+    with np.errstate(all="ignore"):
+        # an overflowing count or width, or a NaN one, takes the largest rule
+        for lo, hi, k_delta_r in ((0.0, 10.0, 1.8e308), (0.0, math.inf, 0.1), (0.0, math.nan, 0.1)):
+            assert distribution._band_rule(lo, hi, k_delta_r)[0].size == 64 * 24
 
 
 @pytest.mark.parametrize("estimator", ["eq8", "window"])

@@ -251,6 +251,22 @@ def test_momentum_point_refusals_name_the_first_bad_entry():
         assert str(err.value) == text
 
 
+def test_momentum_point_value_equality_and_hash():
+    # array points compare by value and hash alike when equal; scalar points as before
+    a = MomentumPoint(np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+    b = MomentumPoint(np.array([-0.0, 2.0]), np.array([1.0, 3.0]))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != MomentumPoint(np.array([0.0, 2.0]), np.array([1.0, 3.5]))
+    assert a != MomentumPoint(np.array([0.0, 2.0, 4.0]), np.array([1.0, 3.0, 5.0]))
+    assert MomentumPoint(np.array([2.0]), np.array([3.0])) != MomentumPoint(2.0, 3.0)
+    assert MomentumPoint(np.zeros(0), np.zeros(0)) == MomentumPoint(np.zeros(0), np.zeros(0))
+    assert a != (a.p_mag, a.p_ang)
+    scalar = MomentumPoint(2.0, 3.0)
+    assert scalar == MomentumPoint(2.0, 3.0) and scalar != MomentumPoint(2.0, 3.5)
+    assert MomentumPoint(0.0, 1.0) == MomentumPoint(-0.0, 1.0)
+    assert hash(scalar) == hash((2.0, 3.0))
+
+
 def test_momentum_point_shapes_and_read_only_copies():
     for p_mag, p_ang in [
         (np.ones((2, 2)), np.ones((2, 2))),
